@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"epajsrm/internal/prof"
 	"epajsrm/internal/simulator"
 	"epajsrm/internal/trace"
@@ -195,18 +193,13 @@ func (m *Manager) preemptWithCheckpoint(r *running, now simulator.Time) bool {
 // subtract this before choosing more victims — a drain takes a checkpoint
 // write to land, and a control loop that only watches instantaneous power
 // would preempt the whole machine while the first drain is still writing.
-// Iteration is ID-ordered so the float sum is deterministic.
+// It walks the ID-ordered running index so the float sum is deterministic.
 func (m *Manager) PendingShedW() float64 {
-	ids := make([]int64, 0, len(m.runningJobs))
-	for id, r := range m.runningJobs {
-		if r.phase == phasePreemptDrain {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	t := 0.0
-	for _, id := range ids {
-		r := m.runningJobs[id]
+	for _, r := range m.runIndex {
+		if r.phase != phasePreemptDrain {
+			continue
+		}
 		shed := m.Pw.PowerOfNodes(r.nodes) - float64(len(r.nodes))*m.Pw.Model.IdleW
 		if shed > 0 {
 			t += shed

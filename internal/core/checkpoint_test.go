@@ -208,9 +208,15 @@ func TestPreemptDrainsThroughDemandCheckpoint(t *testing.T) {
 		if !m.PreemptJob(1, now) {
 			t.Error("preempt refused")
 		}
-		// The drain holds the nodes until the write commits at 3616.
-		if m.JobNodes(1) == nil {
+		// The drain holds the nodes until the write commits at 3616, and
+		// their draw above idle counts as pending shed until then.
+		nodes := m.JobNodes(1)
+		if nodes == nil {
 			t.Error("nodes released before the demand checkpoint committed")
+		}
+		want := m.Pw.PowerOfNodes(nodes) - float64(len(nodes))*m.Pw.Model.IdleW
+		if got := m.PendingShedW(); want <= 0 || got != want {
+			t.Errorf("pending shed during the drain = %f, want %f > 0", got, want)
 		}
 		if m.PreemptJob(1, now) {
 			t.Error("double preempt of a draining job must be refused")
@@ -219,6 +225,9 @@ func TestPreemptDrainsThroughDemandCheckpoint(t *testing.T) {
 	m.Eng.After(3620, "post-drain", func(simulator.Time) {
 		if m.JobNodes(1) != nil {
 			t.Error("nodes still held after the drain committed")
+		}
+		if got := m.PendingShedW(); got != 0 {
+			t.Errorf("pending shed after the drain committed = %f, want 0", got)
 		}
 		if j.WorkDone != 3600 || j.CheckpointWork != 3600 {
 			t.Errorf("drain saved work=%f ckpt=%f, want 3600", j.WorkDone, j.CheckpointWork)

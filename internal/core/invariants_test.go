@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -68,12 +70,32 @@ func checkInvariants(t *testing.T, m *Manager) {
 	if tp := m.Pw.TotalPower(); tp < m.Pw.MinPossiblePower()-1e-6 {
 		t.Fatalf("power %f below physical min", tp)
 	}
+	// 4. Running index: Running() is strictly ID-ascending, covers exactly
+	// the running set, holds only placed jobs, and hands out a copy —
+	// re-sorting it widest-first as Status does must not reach the index.
+	rs := m.Running()
+	if len(rs) != m.RunningCount() {
+		t.Fatalf("Running() has %d jobs, RunningCount() = %d", len(rs), m.RunningCount())
+	}
+	for i, j := range rs {
+		if i > 0 && rs[i-1].ID >= j.ID {
+			t.Fatalf("Running() not strictly ID-ascending: job %d before job %d", rs[i-1].ID, j.ID)
+		}
+		if m.JobNodes(j.ID) == nil {
+			t.Fatalf("running job %d has no placement", j.ID)
+		}
+	}
+	before := slices.Clone(rs)
+	sort.SliceStable(rs, func(a, b int) bool { return rs[a].Nodes > rs[b].Nodes })
+	if after := m.Running(); !slices.Equal(after, before) {
+		t.Fatalf("re-sorting Running()'s result changed the next Running()")
+	}
 }
 
 // TestFuzzRandomActuations drives a run with random mid-flight control
 // actions — node caps, frequency changes, kills, preemptions, power
-// off/on — and checks the invariants at every step and the accounting at
-// the end.
+// off/on, node crashes and repairs — and checks the invariants at every
+// step and the accounting at the end.
 func TestFuzzRandomActuations(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, seed := range seeds {
@@ -95,7 +117,7 @@ func TestFuzzRandomActuations(t *testing.T) {
 		}
 		// Random actuations every 10 minutes of virtual time.
 		stop := m.Eng.Every(10*simulator.Minute, "fuzz", func(now simulator.Time) {
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0: // random node cap on/off
 				n := m.Cl.Nodes[rng.Intn(m.Cl.Size())]
 				if n.CapW == 0 {
@@ -130,6 +152,15 @@ func TestFuzzRandomActuations(t *testing.T) {
 				for _, n := range m.Cl.Nodes {
 					if n.State == cluster.StateOff {
 						_ = m.Ctrl.PowerOn(n.ID, func(tt simulator.Time) { m.TrySchedule(tt) })
+						break
+					}
+				}
+			case 6: // crash a random node, busy or not
+				m.FailNode(rng.Intn(m.Cl.Size()), now)
+			case 7: // repair a crashed node
+				for _, n := range m.Cl.Nodes {
+					if n.State == cluster.StateDown {
+						m.RepairNode(n.ID, now)
 						break
 					}
 				}

@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"epajsrm/internal/alert"
 	"epajsrm/internal/checkpoint"
@@ -130,7 +129,10 @@ type Manager struct {
 	// AttachHistory (the watchdog reads series the sampler writes).
 	Watch *alert.Watchdog
 
+	// runIndex holds the runningJobs records in job-ID order. Only
+	// addRunning and removeRunning write the two.
 	runningJobs map[int64]*running
+	runIndex    []*running
 	nextID      int64
 
 	// trQueued records when each queued job (re-)entered the queue, for
@@ -165,7 +167,6 @@ type Manager struct {
 	// Scheduling-pass scratch, reused across ticks so the hot path does not
 	// reallocate the candidate list and running-jobs view every pass.
 	candScratch []*jobs.Job
-	runScratch  []*running
 	viewScratch []sched.RunningJob
 
 	Metrics Metrics
@@ -434,10 +435,9 @@ func (m *Manager) schedulePass(now simulator.Time) int {
 	// calling TrySchedule mid-start) allocates fresh ones instead of
 	// clobbering ours.
 	cands := m.candScratch[:0]
-	runs := m.runScratch[:0]
 	view := m.viewScratch[:0]
-	m.candScratch, m.runScratch, m.viewScratch = nil, nil, nil
-	restore := func() { m.candScratch, m.runScratch, m.viewScratch = cands, runs, view }
+	m.candScratch, m.viewScratch = nil, nil
+	restore := func() { m.candScratch, m.viewScratch = cands, view }
 	for _, j := range all {
 		if m.gateOpen(j) {
 			cands = append(cands, j)
@@ -456,15 +456,8 @@ func (m *Manager) schedulePass(now simulator.Time) int {
 	// Free nodes is job-independent only if no per-job node filters exist;
 	// we expose the unfiltered pool size and re-validate per job at start.
 	v.Free = m.Cl.AvailableCount(nil)
-	// Build the running view in ID order (see Running for why the ordering
-	// matters), reusing the scratch slices instead of allocating per pass.
-	for _, r := range m.runningJobs {
-		runs = append(runs, r)
-	}
-	// Non-reflective sort: this runs once per pass over every running job,
-	// which at hollow-site scale is thousands of entries per pass.
-	slices.SortFunc(runs, func(a, b *running) int { return cmp.Compare(a.job.ID, b.job.ID) })
-	for _, r := range runs {
+	// The index is in ID order already (see Running for why that matters).
+	for _, r := range m.runIndex {
 		view = append(view, sched.RunningJob{
 			Job:         r.job,
 			Nodes:       len(r.nodes),
@@ -576,7 +569,7 @@ func (m *Manager) startJob(j *jobs.Job, now simulator.Time) bool {
 
 	m.Pw.StartJob(now, j.ID, nodes, j.PowerPerNodeW, j.MemFrac, j.FreqFrac)
 	r := &running{job: j, nodes: nodes, lastSync: now, commSlow: m.commSlowdown(j, nodes)}
-	m.runningJobs[j.ID] = r
+	m.addRunning(r)
 	m.Metrics.noteAlloc(now, len(nodes), m.Cl.Size())
 	if m.Tr != nil {
 		qAt, ok := m.trQueued[j.ID]
@@ -677,19 +670,29 @@ func (m *Manager) RetimeJob(id int64, now simulator.Time) {
 	m.scheduleFinish(r, now)
 }
 
-// RetimeAll retimes every running job — used after bulk cap changes. The
-// order is deterministic (ID-sorted) because simultaneous finish events
-// fire in scheduling order.
+// RetimeAll retimes every running job — used after bulk cap changes — in
+// the running index's ID order, because simultaneous finish events fire in
+// scheduling order.
 func (m *Manager) RetimeAll(now simulator.Time) {
-	ids := make([]int64, 0, len(m.runningJobs))
-	for id := range m.runningJobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		m.RetimeJob(id, now)
+	for _, r := range m.runIndex {
+		m.RetimeJob(r.job.ID, now)
 	}
 }
+
+func (m *Manager) addRunning(r *running) {
+	i, _ := slices.BinarySearchFunc(m.runIndex, r.job.ID, cmpRunningID)
+	m.runIndex = slices.Insert(m.runIndex, i, r)
+	m.runningJobs[r.job.ID] = r
+}
+
+func (m *Manager) removeRunning(id int64) {
+	if i, ok := slices.BinarySearchFunc(m.runIndex, id, cmpRunningID); ok {
+		m.runIndex = slices.Delete(m.runIndex, i, i+1)
+	}
+	delete(m.runningJobs, id)
+}
+
+func cmpRunningID(r *running, id int64) int { return cmp.Compare(r.job.ID, id) }
 
 // endStint closes one run stint's wallclock account; every path that takes
 // a job off its nodes goes through here before overwriting or abandoning
@@ -733,7 +736,7 @@ func (m *Manager) finishJob(id int64, now simulator.Time) {
 	}
 	m.syncProgress(r, now)
 	m.cancelIO(r)
-	delete(m.runningJobs, id)
+	m.removeRunning(id)
 	j := r.job
 	j.State = jobs.StateCompleted
 	j.End = now
@@ -772,7 +775,7 @@ func (m *Manager) KillJob(id int64, reason string, now simulator.Time) bool {
 	lost := r.job.WorkDone * float64(len(r.nodes))
 	m.Metrics.LostWorkSeconds += lost
 	r.job.LostWorkSeconds += lost
-	delete(m.runningJobs, id)
+	m.removeRunning(id)
 	j := r.job
 	j.State = jobs.StateKilled
 	j.KillReason = reason
@@ -839,7 +842,7 @@ func (m *Manager) PreemptJob(id int64, now simulator.Time) bool {
 // the caller decided survives.
 func (m *Manager) requeuePreempted(r *running, now simulator.Time) {
 	j := r.job
-	delete(m.runningJobs, j.ID)
+	m.removeRunning(j.ID)
 	j.State = jobs.StateQueued
 	m.endStint(r, now)
 	m.Pw.EndJob(now, j.ID, r.nodes)
@@ -921,7 +924,7 @@ func (m *Manager) failJob(id int64, failed *cluster.Node, now simulator.Time) {
 	m.syncProgress(r, now)
 	r.finish.Cancel()
 	m.cancelIO(r)
-	delete(m.runningJobs, id)
+	m.removeRunning(id)
 	j := r.job
 	m.endStint(r, now)
 	m.Pw.EndJob(now, id, r.nodes)
@@ -998,17 +1001,24 @@ func (m *Manager) finishDrains(nodes []*cluster.Node, now simulator.Time) {
 	}
 }
 
-// Running returns the currently executing jobs in ID order. The ordering
-// matters: runningJobs is a map, and any consumer that breaks ties by
+// Running returns the executing jobs in ID order, as a fresh slice the
+// caller may re-sort. The order matters: any consumer that breaks ties by
 // encounter order (the EASY reservation sort, emergency victim selection)
 // must see a deterministic sequence or runs stop being reproducible.
 func (m *Manager) Running() []*jobs.Job {
-	out := make([]*jobs.Job, 0, len(m.runningJobs))
-	for _, r := range m.runningJobs {
-		out = append(out, r.job)
+	out := make([]*jobs.Job, len(m.runIndex))
+	for i, r := range m.runIndex {
+		out[i] = r.job
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// RunningJob returns the executing job with the given ID, or nil.
+func (m *Manager) RunningJob(id int64) *jobs.Job {
+	if r := m.runningJobs[id]; r != nil {
+		return r.job
+	}
+	return nil
 }
 
 // RunningCount returns how many jobs are executing.

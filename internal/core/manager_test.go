@@ -379,11 +379,14 @@ func TestEstimatedStartPower(t *testing.T) {
 
 func TestStatusRendersSnapshot(t *testing.T) {
 	m := newTestManager(t)
-	j := mkJob(1, 4, simulator.Hour)
-	if err := m.Submit(j, 0); err != nil {
-		t.Fatal(err)
+	// Jobs 1 and 4 tie on width, so they must list in ID order after the
+	// wider job 3.
+	for _, j := range []*jobs.Job{mkJob(1, 4, simulator.Hour), mkJob(3, 8, simulator.Hour), mkJob(4, 4, simulator.Hour)} {
+		if err := m.Submit(j, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	q := mkJob(2, 64, simulator.Hour) // must queue behind j? 64 > 60 free
+	q := mkJob(2, 64, simulator.Hour) // must queue: 64 > 48 free
 	if err := m.Submit(q, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +396,15 @@ func TestStatusRendersSnapshot(t *testing.T) {
 	})
 	m.Run(-1)
 	for _, want := range []string{
-		"running (1)", "queued (1", "job 1", "job 2",
-		"60 idle", "4 busy", "power:",
+		"running (3)", "queued (1", "job 1", "job 2",
+		"48 idle", "16 busy", "power:",
 	} {
 		if !strings.Contains(snap, want) {
 			t.Fatalf("status missing %q:\n%s", want, snap)
 		}
+	}
+	i3, i1, i4 := strings.Index(snap, "job 3 "), strings.Index(snap, "job 1 "), strings.Index(snap, "job 4 ")
+	if !(0 <= i3 && i3 < i1 && i1 < i4) {
+		t.Fatalf("running jobs not widest first, then by ID:\n%s", snap)
 	}
 }

@@ -34,14 +34,9 @@ func (m *Manager) Status() string {
 		m.Pw.TotalPower()/1000, func() float64 { p, _ := m.Pw.PeakPower(); return p }()/1000,
 		m.Pw.TotalEnergy()/3.6e9)
 
-	// Running jobs, widest first.
+	// Running jobs, widest first; Running's ID order breaks ties.
 	running := m.Running()
-	sort.Slice(running, func(i, j int) bool {
-		if running[i].Nodes != running[j].Nodes {
-			return running[i].Nodes > running[j].Nodes
-		}
-		return running[i].ID < running[j].ID
-	})
+	sort.SliceStable(running, func(i, j int) bool { return running[i].Nodes > running[j].Nodes })
 	fmt.Fprintf(&b, "running (%d):\n", len(running))
 	for i, j := range running {
 		if i >= 10 {

@@ -159,11 +159,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no metrics registry attached", http.StatusServiceUnavailable)
 		return
 	}
-	s.mu.Lock()
-	pts := s.src.Registry.Snapshot()
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WritePrometheus(w, pts) //nolint:errcheck // client gone mid-write
+	// Render under the lock too: a snapshot's histogram counts alias the
+	// live histograms, which the simulation driver writes between slices.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	metrics.WritePrometheus(w, s.src.Registry.Snapshot()) //nolint:errcheck // client gone mid-write
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {

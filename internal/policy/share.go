@@ -118,14 +118,8 @@ func (p *DynamicPowerSharing) rebalance(now simulator.Time) {
 // frequency.
 func (p *DynamicPowerSharing) nodeDemand(n *cluster.Node) float64 {
 	m := p.m
-	jid := n.JobID
-	if jid == 0 {
-		return m.Pw.Model.IdleW
-	}
-	for _, j := range m.Running() {
-		if j.ID == jid {
-			return m.Pw.Model.BusyPower(j.PowerPerNodeW, j.FreqFrac, m.Pw.VarFactor(n.ID))
-		}
+	if j := m.RunningJob(n.JobID); j != nil {
+		return m.Pw.Model.BusyPower(j.PowerPerNodeW, j.FreqFrac, m.Pw.VarFactor(n.ID))
 	}
 	return m.Pw.Model.IdleW
 }

@@ -44,6 +44,27 @@ func TestHollowPointSmall(t *testing.T) {
 	}
 }
 
+// TestHollowPointPinned pins the 1k-node standard curve point to counts
+// recorded before the manager kept its running set in an ID-ordered
+// index. Its running set peaks at 163 jobs (checked once with a start
+// hook), so the run drives the index at that size through 10240 starts
+// and ends, and takes the EASY reservation's stable-sort path for more
+// than 64 running jobs; any change to event order or to the reservation's
+// tie order moves these numbers.
+func TestHollowPointPinned(t *testing.T) {
+	res, err := Run(DefaultConfig(1024, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [5]int64{int64(res.Completed), int64(res.Killed), int64(res.Requeues), int64(res.Ckpts), res.Events}
+	if want := [5]int64{10240, 0, 17, 12395, 55251}; got != want {
+		t.Errorf("completed/killed/requeues/ckpts/events = %v, want %v", got, want)
+	}
+	if want := 81.78507831902866; res.UtilPct != want {
+		t.Errorf("utilization %v%%, want %v%%", res.UtilPct, want)
+	}
+}
+
 // TestSpecForLoadShaping pins the load solver: bigger machines with the
 // same jobs-per-node density keep the same target by raising the
 // capability fraction, and the arrival mean spreads jobs over the horizon.

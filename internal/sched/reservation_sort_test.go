@@ -8,9 +8,9 @@ import (
 )
 
 // refReservation is the pre-threshold implementation: always insertion
-// sort. The production path switches to a stable comparison sort above 64
-// running jobs; both are stable on ExpectedEnd, so shadow and extra must
-// match on any input.
+// sort. The production path switches to slices.SortStableFunc on
+// ExpectedEnd above 64 running jobs; both sorts are stable, so shadow and
+// extra must match on any input.
 func refReservation(now simulator.Time, free, need int, running []RunningJob) (simulator.Time, int) {
 	if free >= need {
 		return now, free - need
@@ -32,8 +32,9 @@ func refReservation(now simulator.Time, free, need int, running []RunningJob) (s
 }
 
 // TestReservationSortEquivalence exercises running sets straddling the
-// sort-path threshold, with heavy ExpectedEnd ties (the case where an
-// unstable sort would reorder node counts and change `extra`).
+// sort-path threshold, so both the insertion sort and
+// slices.SortStableFunc run, with heavy ExpectedEnd ties (the case where
+// an unstable sort would reorder node counts and change `extra`).
 func TestReservationSortEquivalence(t *testing.T) {
 	rng := simulator.NewRNG(31)
 	for trial := 0; trial < 300; trial++ {

@@ -6,7 +6,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"epajsrm/internal/jobs"
@@ -205,9 +206,11 @@ func reservation(now simulator.Time, free, need int, running []RunningJob) (shad
 	}
 	// Sort a pooled copy by expected end. Small running sets use insertion
 	// sort; past a threshold (hollow-site scale runs carry thousands of
-	// running jobs into every blocked-head pass) switch to an O(R log R)
-	// stable sort. Both are stable on ExpectedEnd, so the shadow-time walk
-	// sees the identical sequence either way.
+	// running jobs into every blocked-head pass) switch to
+	// slices.SortStableFunc, which swaps typed elements where
+	// sort.SliceStable would go through a reflection-based swapper. Both
+	// are stable on ExpectedEnd, so the shadow-time walk sees the
+	// identical sequence either way.
 	ep := runningScratch.Get().(*[]RunningJob)
 	ends := append((*ep)[:0], running...)
 	defer func() {
@@ -221,7 +224,7 @@ func reservation(now simulator.Time, free, need int, running []RunningJob) (shad
 			}
 		}
 	} else {
-		sort.SliceStable(ends, func(i, j int) bool { return ends[i].ExpectedEnd < ends[j].ExpectedEnd })
+		slices.SortStableFunc(ends, func(a, b RunningJob) int { return cmp.Compare(a.ExpectedEnd, b.ExpectedEnd) })
 	}
 	avail := free
 	for _, r := range ends {
