@@ -555,7 +555,7 @@ func BenchmarkSchedulerPickEASY(b *testing.B) {
 			Walltime: simulator.Time(1000 + i*100), TrueRuntime: 1000, PowerPerNodeW: 300,
 		})
 	}
-	var running []sched.RunningJob
+	var running runSlice
 	for i := 0; i < 20; i++ {
 		running = append(running, sched.RunningJob{
 			Job:         &jobs.Job{ID: int64(1000 + i), Nodes: 2},
@@ -570,6 +570,12 @@ func BenchmarkSchedulerPickEASY(b *testing.B) {
 		s.Pick(v)
 	}
 }
+
+// runSlice is a slice-backed sched.RunningSet, already in end order.
+type runSlice []sched.RunningJob
+
+func (s runSlice) Len() int                  { return len(s) }
+func (s runSlice) At(i int) sched.RunningJob { return s[i] }
 
 func BenchmarkPowerSystemRefresh(b *testing.B) {
 	cl := cluster.New(cluster.DefaultConfig())

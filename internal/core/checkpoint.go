@@ -196,15 +196,15 @@ func (m *Manager) preemptWithCheckpoint(r *running, now simulator.Time) bool {
 // It walks the ID-ordered running index so the float sum is deterministic.
 func (m *Manager) PendingShedW() float64 {
 	t := 0.0
-	for _, r := range m.runIndex {
+	m.runIndex.each(func(r *running) {
 		if r.phase != phasePreemptDrain {
-			continue
+			return
 		}
 		shed := m.Pw.PowerOfNodes(r.nodes) - float64(len(r.nodes))*m.Pw.Model.IdleW
 		if shed > 0 {
 			t += shed
 		}
-	}
+	})
 	return t
 }
 

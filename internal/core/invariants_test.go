@@ -13,9 +13,17 @@ import (
 	"epajsrm/internal/workload"
 )
 
+// stint identifies one run stint of a job: its ID and start time.
+type stint struct {
+	id    int64
+	start simulator.Time
+}
+
 // checkInvariants asserts the structural facts that must hold at any
-// instant of any run, whatever the policies do.
-func checkInvariants(t *testing.T, m *Manager) {
+// instant of any run, whatever the policies do. It returns every running
+// stint's expected end, recomputed from the job, and the length of the
+// clamped prefix: the running jobs due by now+1.
+func checkInvariants(t *testing.T, m *Manager) (ends map[stint]simulator.Time, clamped int) {
 	t.Helper()
 	// 1. Node bookkeeping: a node is busy iff it carries a job ID, and
 	// every running job's nodes agree.
@@ -90,14 +98,74 @@ func checkInvariants(t *testing.T, m *Manager) {
 	if after := m.Running(); !slices.Equal(after, before) {
 		t.Fatalf("re-sorting Running()'s result changed the next Running()")
 	}
+	// 5. End index: the running set schedulers read, prepared at now, is
+	// the ID-ordered set stable-sorted by clamped expected end. The ends are
+	// recomputed from Start, Walltime and curFrac rather than read from the
+	// stored key, so a record the index failed to move shows up here.
+	now := m.Eng.Now()
+	ends = make(map[stint]simulator.Time, len(before))
+	want := make([]sched.RunningJob, 0, len(before))
+	for _, j := range before {
+		r := m.runningJobs[j.ID]
+		wall := float64(j.Walltime)
+		if r.curFrac > 0 && r.curFrac < 1 {
+			wall /= r.curFrac
+		}
+		end := j.Start + simulator.Time(wall)
+		ends[stint{j.ID, j.Start}] = end
+		if end <= now {
+			end = now + 1
+			clamped++
+		}
+		want = append(want, sched.RunningJob{Job: j, Nodes: len(r.nodes), ExpectedEnd: end})
+	}
+	sort.SliceStable(want, func(a, b int) bool { return want[a].ExpectedEnd < want[b].ExpectedEnd })
+	var set runningSet
+	set.prepare(&m.endIndex, now)
+	if set.Len() != len(want) {
+		t.Fatalf("running set has %d jobs, want %d", set.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := set.At(i); got != w {
+			t.Fatalf("running set[%d] = job %d nodes %d end %v, want job %d nodes %d end %v",
+				i, got.Job.ID, got.Nodes, got.ExpectedEnd, w.Job.ID, w.Nodes, w.ExpectedEnd)
+		}
+	}
+	// At is random-access too: walking back rewinds the cursor.
+	for i := len(want) - 1; i >= 0; i-- {
+		if got := set.At(i); got != want[i] {
+			t.Fatalf("running set[%d] read backwards = job %d, want job %d", i, got.Job.ID, want[i].Job.ID)
+		}
+	}
+	if n := len(checkOrder(t, &m.runIndex)); n != m.RunningCount() {
+		t.Fatalf("ID index holds %d records, RunningCount() = %d", n, m.RunningCount())
+	}
+	if n := len(checkOrder(t, &m.endIndex)); n != m.RunningCount() {
+		t.Fatalf("end index holds %d records, RunningCount() = %d", n, m.RunningCount())
+	}
+	return ends, clamped
 }
 
 // TestFuzzRandomActuations drives a run with random mid-flight control
 // actions — node caps, frequency changes, kills, preemptions, power
 // off/on, node crashes and repairs — and checks the invariants at every
-// step and the accounting at the end.
+// step and the accounting at the end. Across its seeds it asserts that the
+// checks saw a running job's expected end move (a frequency change the end
+// index had to follow) and a clamped prefix of at least two overdue jobs
+// (whose ID order the running set must restore).
 func TestFuzzRandomActuations(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	moved, maxClamped := 0, 0
+	var prev map[stint]simulator.Time
+	check := func(m *Manager) {
+		ends, clamped := checkInvariants(t, m)
+		for k, e := range ends {
+			if p, ok := prev[k]; ok && p != e {
+				moved++
+			}
+		}
+		prev, maxClamped = ends, max(maxClamped, clamped)
+	}
 	for _, seed := range seeds {
 		seed := seed
 		m := NewManager(Options{
@@ -109,6 +177,13 @@ func TestFuzzRandomActuations(t *testing.T) {
 		rng := simulator.NewRNG(seed * 977)
 		spec := workload.DefaultSpec()
 		spec.ArrivalMeanSec = 300
+		if seed%2 == 0 {
+			// Exact walltimes and a steep topology penalty: jobs that span
+			// racks overrun their requests, so overdue jobs pile up in the
+			// clamped prefix.
+			spec.WalltimeFactorMax = 1
+			m.TopoPenaltyPerHop = 1
+		}
 		js := workload.NewGenerator(spec, seed).Generate(80)
 		for _, j := range js {
 			if err := m.Submit(j, j.Submit); err != nil {
@@ -165,11 +240,11 @@ func TestFuzzRandomActuations(t *testing.T) {
 					}
 				}
 			}
-			checkInvariants(t, m)
+			check(m)
 		})
 		end := m.Run(5 * simulator.Day)
 		stop()
-		checkInvariants(t, m)
+		check(m)
 		// End accounting: every job reached a terminal state or is still
 		// tracked (queued behind dead capacity is legal if nodes were
 		// powered off).
@@ -189,6 +264,11 @@ func TestFuzzRandomActuations(t *testing.T) {
 			t.Fatalf("seed %d: energy %f above physical ceiling", seed, e)
 		}
 	}
+	if moved == 0 || maxClamped < 2 {
+		t.Fatalf("checks saw %d expected-end moves and a clamped prefix of at most %d jobs; want a move and at least 2",
+			moved, maxClamped)
+	}
+	t.Logf("%d expected-end moves seen, clamped prefix up to %d jobs", moved, maxClamped)
 }
 
 // TestPreemptAtQuickRandomTimes property-checks the progress model: a

@@ -7,9 +7,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"epajsrm/internal/alert"
 	"epajsrm/internal/checkpoint"
@@ -29,8 +27,9 @@ type running struct {
 	job      *jobs.Job
 	nodes    []*cluster.Node
 	finish   simulator.Handle
-	curFrac  float64 // effective frequency fraction the finish event assumed
-	commSlow float64 // placement-dependent communication slowdown (>= 1)
+	curFrac  float64        // effective frequency fraction the finish event assumed
+	end      simulator.Time // expectedEnd at curFrac: the key in the end index
+	commSlow float64        // placement-dependent communication slowdown (>= 1)
 	lastSync simulator.Time
 
 	// Checkpoint/restart phase machinery (see internal/core/checkpoint.go).
@@ -129,10 +128,13 @@ type Manager struct {
 	// AttachHistory (the watchdog reads series the sampler writes).
 	Watch *alert.Watchdog
 
-	// runIndex holds the runningJobs records in job-ID order. Only
-	// addRunning and removeRunning write the two.
+	// runIndex holds the runningJobs records in job-ID order, endIndex
+	// the same records by (end, ID). Only addRunning, removeRunning and
+	// setFrac write them; runSet is the end order as schedulers read it.
 	runningJobs map[int64]*running
-	runIndex    []*running
+	runIndex    runOrder
+	endIndex    runOrder
+	runSet      runningSet
 	nextID      int64
 
 	// trQueued records when each queued job (re-)entered the queue, for
@@ -165,9 +167,8 @@ type Manager struct {
 	schedArmed bool
 
 	// Scheduling-pass scratch, reused across ticks so the hot path does not
-	// reallocate the candidate list and running-jobs view every pass.
+	// reallocate the candidate list every pass.
 	candScratch []*jobs.Job
-	viewScratch []sched.RunningJob
 
 	Metrics Metrics
 }
@@ -431,42 +432,34 @@ func (m *Manager) schedulePass(now simulator.Time) int {
 		return 0
 	}
 	// Candidates: jobs whose start gates are open this pass. The scratch
-	// slices are detached while in use so a reentrant pass (a policy hook
-	// calling TrySchedule mid-start) allocates fresh ones instead of
-	// clobbering ours.
+	// slice is detached while in use so a reentrant pass (a policy hook
+	// calling TrySchedule mid-start) allocates a fresh one instead of
+	// clobbering ours. The running set needs no such care: a reentrant
+	// pass re-prepares it only after this pass's Pick has returned.
 	cands := m.candScratch[:0]
-	view := m.viewScratch[:0]
-	m.candScratch, m.viewScratch = nil, nil
-	restore := func() { m.candScratch, m.viewScratch = cands, view }
+	m.candScratch = nil
 	for _, j := range all {
 		if m.gateOpen(j) {
 			cands = append(cands, j)
 		}
 	}
 	if len(cands) == 0 {
-		restore()
+		m.candScratch = cands
 		return 0
 	}
+	m.runSet.prepare(&m.endIndex, m.Eng.Now())
 	v := sched.View{
 		Now:        now,
 		TotalNodes: m.eligibleCapacity(),
 		Queue:      cands,
+		Running:    &m.runSet,
 		Prof:       m.Prof,
 	}
 	// Free nodes is job-independent only if no per-job node filters exist;
 	// we expose the unfiltered pool size and re-validate per job at start.
 	v.Free = m.Cl.AvailableCount(nil)
-	// The index is in ID order already (see Running for why that matters).
-	for _, r := range m.runIndex {
-		view = append(view, sched.RunningJob{
-			Job:         r.job,
-			Nodes:       len(r.nodes),
-			ExpectedEnd: m.expectedEnd(r),
-		})
-	}
-	v.Running = view
 	picked := m.pick(v, now)
-	restore() // Pick neither retains nor aliases the view slices
+	m.candScratch = cands // Pick neither retains nor aliases the queue slice
 	started := 0
 	for _, j := range picked {
 		if m.startJob(j, now) {
@@ -513,16 +506,14 @@ func (m *Manager) eligibleCapacity() int {
 
 // expectedEnd is the scheduler-visible completion estimate: start +
 // walltime (never ground truth), scaled by the job's current frequency.
-func (m *Manager) expectedEnd(r *running) simulator.Time {
+// It is r's key in the end index. It may lie in the past; the running set
+// schedulers read clamps such overdue ends to now+1.
+func expectedEnd(r *running) simulator.Time {
 	wall := float64(r.job.Walltime)
 	if r.curFrac > 0 && r.curFrac < 1 {
 		wall = wall / r.curFrac
 	}
-	e := r.job.Start + simulator.Time(wall)
-	if e <= m.Eng.Now() {
-		e = m.Eng.Now() + 1
-	}
-	return e
+	return r.job.Start + simulator.Time(wall)
 }
 
 func (m *Manager) startJob(j *jobs.Job, now simulator.Time) bool {
@@ -605,7 +596,7 @@ func (m *Manager) startJob(j *jobs.Job, now simulator.Time) bool {
 func (m *Manager) scheduleFinish(r *running, now simulator.Time) {
 	r.finish.Cancel()
 	frac := m.Pw.JobFrac(r.job.ID)
-	r.curFrac = frac
+	m.setFrac(r, frac)
 	r.lastSync = now
 	remainingWork := float64(r.job.TrueRuntime) - r.job.WorkDone
 	if remainingWork < 0 {
@@ -674,25 +665,37 @@ func (m *Manager) RetimeJob(id int64, now simulator.Time) {
 // the running index's ID order, because simultaneous finish events fire in
 // scheduling order.
 func (m *Manager) RetimeAll(now simulator.Time) {
-	for _, r := range m.runIndex {
-		m.RetimeJob(r.job.ID, now)
-	}
+	m.runIndex.each(func(r *running) { m.RetimeJob(r.job.ID, now) })
 }
 
 func (m *Manager) addRunning(r *running) {
-	i, _ := slices.BinarySearchFunc(m.runIndex, r.job.ID, cmpRunningID)
-	m.runIndex = slices.Insert(m.runIndex, i, r)
+	r.end = expectedEnd(r)
+	m.runIndex.insert(runKey{id: r.job.ID}, r)
+	m.endIndex.insert(runKey{end: r.end, id: r.job.ID}, r)
 	m.runningJobs[r.job.ID] = r
 }
 
 func (m *Manager) removeRunning(id int64) {
-	if i, ok := slices.BinarySearchFunc(m.runIndex, id, cmpRunningID); ok {
-		m.runIndex = slices.Delete(m.runIndex, i, i+1)
+	if r := m.runningJobs[id]; r != nil {
+		m.runIndex.remove(runKey{id: id})
+		m.endIndex.remove(runKey{end: r.end, id: id})
+		delete(m.runningJobs, id)
 	}
-	delete(m.runningJobs, id)
 }
 
-func cmpRunningID(r *running, id int64) int { return cmp.Compare(r.job.ID, id) }
+// setFrac records the frequency r's finish event assumes, and moves r in
+// the end index when that changes its expected end. It reports whether r
+// moved; a record no longer indexed (a hook ended its job) is not put back.
+func (m *Manager) setFrac(r *running, frac float64) bool {
+	r.curFrac = frac
+	end := expectedEnd(r)
+	if end == r.end || !m.endIndex.remove(runKey{end: r.end, id: r.job.ID}) {
+		return false
+	}
+	r.end = end
+	m.endIndex.insert(runKey{end: end, id: r.job.ID}, r)
+	return true
+}
 
 // endStint closes one run stint's wallclock account; every path that takes
 // a job off its nodes goes through here before overwriting or abandoning
@@ -1003,13 +1006,11 @@ func (m *Manager) finishDrains(nodes []*cluster.Node, now simulator.Time) {
 
 // Running returns the executing jobs in ID order, as a fresh slice the
 // caller may re-sort. The order matters: any consumer that breaks ties by
-// encounter order (the EASY reservation sort, emergency victim selection)
-// must see a deterministic sequence or runs stop being reproducible.
+// encounter order (emergency victim selection, Status's width sort) must
+// see a deterministic sequence or runs stop being reproducible.
 func (m *Manager) Running() []*jobs.Job {
-	out := make([]*jobs.Job, len(m.runIndex))
-	for i, r := range m.runIndex {
-		out[i] = r.job
-	}
+	out := make([]*jobs.Job, 0, m.runIndex.n)
+	m.runIndex.each(func(r *running) { out = append(out, r.job) })
 	return out
 }
 

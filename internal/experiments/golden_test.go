@@ -13,14 +13,16 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files fro
 
 // goldenCases pins representative experiments to committed renders: the
 // resilience and checkpoint sweeps (faults, requeues, checkpoint I/O and
-// the power meters together), the SLO watchdog, and the policies that read
+// the power meters together), the SLO watchdog, the policies that read
 // the manager's running set — E4's per-node demand and bulk retiming, E6's
 // emergency victim choice and pending-shed sum, E13's grid-aware
-// shedding. The parallel-vs-sequential test asserts procs-invariance of
+// shedding — and E12, the only experiment that runs Conservative
+// backfilling. The parallel-vs-sequential test asserts procs-invariance of
 // whatever the current tree produces; this test additionally asserts the
 // render is byte-identical to the output captured before the data
 // structure under it was reworked (E21/E22 before the compact-layout and
-// calendar-queue rework, E4/E6/E13 before the ID-ordered running index),
+// calendar-queue rework, E4/E6/E13 before the ID-ordered running index,
+// E12 before the end-ordered index the reservations walk),
 // so a data-structure change that shifts event order or float
 // accumulation order fails loudly rather than silently re-baselining.
 var goldenCases = []struct {
@@ -29,6 +31,7 @@ var goldenCases = []struct {
 }{
 	{"e4_seed2.golden", E4PowerSharing},
 	{"e6_seed2.golden", E6Emergency},
+	{"e12_seed2.golden", E12Backfill},
 	{"e13_seed2.golden", E13GridAware},
 	{"e21_seed2.golden", E21Resilience},
 	{"e22_seed2.golden", E22CheckpointSweep},

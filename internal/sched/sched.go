@@ -6,8 +6,6 @@
 package sched
 
 import (
-	"cmp"
-	"slices"
 	"sync"
 
 	"epajsrm/internal/jobs"
@@ -20,7 +18,7 @@ import (
 // scheduler — the parallel experiment runner calls Pick from many
 // managers concurrently.
 var (
-	runningScratch = sync.Pool{New: func() any { s := make([]RunningJob, 0, 64); return &s }}
+	headScratch    = sync.Pool{New: func() any { s := make([]RunningJob, 0, 16); return &s }}
 	profileScratch = sync.Pool{New: func() any { return NewProfile(0, 0) }}
 )
 
@@ -33,18 +31,30 @@ type RunningJob struct {
 	ExpectedEnd simulator.Time
 }
 
+// RunningSet is the scheduler's read-only view of the running jobs, in
+// expected-end order: first the jobs already due, their ends clamped to
+// Now+1 and in job-ID order, then the rest by (ExpectedEnd, job ID). That
+// is the sequence a stable sort of the ID-ordered set by clamped end
+// yields. At(i) is O(1) when i is one past the previous call's, so a walk
+// that stops early reads only the prefix it needs.
+type RunningSet interface {
+	Len() int
+	At(i int) RunningJob
+}
+
 // View is the scheduler's snapshot of the system at a decision point.
 type View struct {
 	Now        simulator.Time
 	Free       int // eligible idle nodes right now
 	TotalNodes int // eligible node capacity (excludes down/maintenance)
 	Queue      []*jobs.Job
-	Running    []RunningJob
+	// Running is valid only during the Pick it is passed to: the manager
+	// re-reads its running index for every pass.
+	Running RunningSet
 
 	// Prof, when non-nil, attributes the pass's reservation computation
 	// and backfill walk to their own phases (the split the parallelization
-	// work needs — at hollow-site scale the reservation sort dominates).
-	// Schedulers are stateless shared values, so the profiler rides on the
+	// work needs). Schedulers are stateless shared values, so the profiler rides on the
 	// per-pass view rather than on the scheduler. Nil costs one branch.
 	Prof *prof.Profiler
 }
@@ -131,20 +141,12 @@ func (e EASY) Pick(v View) []*jobs.Job { return e.PickExplain(v, nil) }
 func (EASY) PickExplain(v View, rec func(Decision)) []*jobs.Job {
 	var out []*jobs.Job
 	free := v.Free
-	sp := runningScratch.Get().(*[]RunningJob)
-	running := append((*sp)[:0], v.Running...)
-	defer func() {
-		*sp = running[:0]
-		runningScratch.Put(sp)
-	}()
-
 	queue := v.Queue
 	// Start head jobs while they fit.
 	for len(queue) > 0 && queue[0].Nodes <= free {
 		j := queue[0]
 		out = append(out, j)
 		free -= j.Nodes
-		running = append(running, RunningJob{Job: j, Nodes: j.Nodes, ExpectedEnd: v.Now + j.Walltime})
 		queue = queue[1:]
 		if rec != nil {
 			rec(Decision{Job: j, Picked: true, Reason: "head-fits"})
@@ -154,10 +156,19 @@ func (EASY) PickExplain(v View, rec func(Decision)) []*jobs.Job {
 		return out
 	}
 
-	// Head job blocked: compute its shadow time and the extra nodes.
+	// Head job blocked: compute its shadow time and the extra nodes. The
+	// head starts above hold their nodes until their walltime runs out.
 	head := queue[0]
 	v.Prof.Enter(prof.SchedReservation)
-	shadow, extra := reservation(v.Now, free, head.Nodes, running)
+	hp := headScratch.Get().(*[]RunningJob)
+	heads := (*hp)[:0]
+	for _, j := range out {
+		heads = append(heads, RunningJob{Job: j, Nodes: j.Nodes, ExpectedEnd: v.Now + j.Walltime})
+	}
+	shadow, extra := reservation(v.Now, free, head.Nodes, v.Running, heads)
+	clear(heads)
+	*hp = heads[:0]
+	headScratch.Put(hp)
 	v.Prof.Exit()
 	if rec != nil {
 		rec(Decision{Job: head, Reason: "head-blocked-awaits-reservation"})
@@ -181,7 +192,6 @@ func (EASY) PickExplain(v View, rec func(Decision)) []*jobs.Job {
 			if fitsBeside {
 				extra -= j.Nodes
 			}
-			running = append(running, RunningJob{Job: j, Nodes: j.Nodes, ExpectedEnd: v.Now + j.Walltime})
 			if rec != nil {
 				reason := "backfill-before-shadow"
 				if !fitsBefore {
@@ -197,44 +207,45 @@ func (EASY) PickExplain(v View, rec func(Decision)) []*jobs.Job {
 }
 
 // reservation returns the earliest time `need` nodes will be free given the
-// currently running jobs (by their walltime-based expected ends), plus how
-// many nodes will be left over at that time beyond the reservation
-// ("extra" nodes a backfilled job may hold past the shadow time).
-func reservation(now simulator.Time, free, need int, running []RunningJob) (shadow simulator.Time, extra int) {
+// running jobs and this pass's head starts (by their walltime-based
+// expected ends), plus how many nodes will be left over at that time
+// beyond the reservation ("extra" nodes a backfilled job may hold past the
+// shadow time). It merges the two in end order — running jobs already come
+// that way, heads is stable insertion-sorted in place, and a running job
+// wins a tie — and stops at the shadow, so it reads the running set only
+// up to the job whose end frees the last node needed.
+func reservation(now simulator.Time, free, need int, running RunningSet, heads []RunningJob) (shadow simulator.Time, extra int) {
 	if free >= need {
 		return now, free - need
 	}
-	// Sort a pooled copy by expected end. Small running sets use insertion
-	// sort; past a threshold (hollow-site scale runs carry thousands of
-	// running jobs into every blocked-head pass) switch to
-	// slices.SortStableFunc, which swaps typed elements where
-	// sort.SliceStable would go through a reflection-based swapper. Both
-	// are stable on ExpectedEnd, so the shadow-time walk sees the
-	// identical sequence either way.
-	ep := runningScratch.Get().(*[]RunningJob)
-	ends := append((*ep)[:0], running...)
-	defer func() {
-		*ep = ends[:0]
-		runningScratch.Put(ep)
-	}()
-	if len(ends) <= 64 {
-		for i := 1; i < len(ends); i++ {
-			for k := i; k > 0 && ends[k].ExpectedEnd < ends[k-1].ExpectedEnd; k-- {
-				ends[k], ends[k-1] = ends[k-1], ends[k]
-			}
+	for i := 1; i < len(heads); i++ {
+		for k := i; k > 0 && heads[k].ExpectedEnd < heads[k-1].ExpectedEnd; k-- {
+			heads[k], heads[k-1] = heads[k-1], heads[k]
 		}
-	} else {
-		slices.SortStableFunc(ends, func(a, b RunningJob) int { return cmp.Compare(a.ExpectedEnd, b.ExpectedEnd) })
 	}
 	avail := free
-	for _, r := range ends {
-		avail += r.Nodes
+	n := running.Len()
+	var r RunningJob
+	loaded := false // r holds running.At(i)
+	for i, h := 0, 0; ; {
+		if !loaded && i < n {
+			r, loaded = running.At(i), true
+		}
+		var e RunningJob
+		switch {
+		case loaded && (h == len(heads) || r.ExpectedEnd <= heads[h].ExpectedEnd):
+			e, i, loaded = r, i+1, false
+		case h < len(heads):
+			e, h = heads[h], h+1
+		default:
+			// Should not happen if need <= total nodes; treat as never.
+			return now + 365*simulator.Day, 0
+		}
+		avail += e.Nodes
 		if avail >= need {
-			return r.ExpectedEnd, avail - need
+			return e.ExpectedEnd, avail - need
 		}
 	}
-	// Should not happen if need <= total nodes; treat as never.
-	return now + 365*simulator.Day, 0
 }
 
 // Conservative is conservative backfilling: every queued job receives a
@@ -260,7 +271,8 @@ func (Conservative) PickExplain(v View, rec func(Decision)) []*jobs.Job {
 	p := profileScratch.Get().(*Profile)
 	p.Reset(v.Now, v.TotalNodes)
 	defer profileScratch.Put(p)
-	for _, r := range v.Running {
+	for i, n := 0, v.Running.Len(); i < n; i++ {
+		r := v.Running.At(i)
 		p.Reserve(v.Now, r.ExpectedEnd, r.Nodes)
 	}
 	var out []*jobs.Job

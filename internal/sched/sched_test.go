@@ -31,7 +31,7 @@ func TestEASYBackfillsAroundBlocker(t *testing.T) {
 	// the short job is picked, and the reservation is not delayed.
 	v := View{
 		Now: 0, Free: 6, TotalNodes: 10,
-		Running: []RunningJob{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
+		Running: runSlice{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
 		Queue:   []*jobs.Job{qj(1, 8, 1000), qj(2, 1, 500), qj(3, 6, 5000)},
 	}
 	got := EASY{}.Pick(v)
@@ -65,7 +65,7 @@ func TestEASYBackfillBesideReservation(t *testing.T) {
 	// 2-node job fits beside the reservation even though it outlives it.
 	v := View{
 		Now: 0, Free: 6, TotalNodes: 10,
-		Running: []RunningJob{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
+		Running: runSlice{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
 		Queue:   []*jobs.Job{qj(1, 8, 1000), qj(2, 2, 100000)},
 	}
 	got := EASY{}.Pick(v)
@@ -79,7 +79,7 @@ func TestConservativeNoLaterJobDelaysEarlier(t *testing.T) {
 	// neither job 1's nor job 2's reservation.
 	v := View{
 		Now: 0, Free: 6, TotalNodes: 10,
-		Running: []RunningJob{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
+		Running: runSlice{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
 		Queue: []*jobs.Job{
 			qj(1, 8, 1000),  // reserved at t=1000
 			qj(2, 10, 1000), // reserved at t=2000
@@ -102,7 +102,7 @@ func TestConservativeRespectsAllReservations(t *testing.T) {
 	// both decisions.
 	v := View{
 		Now: 0, Free: 6, TotalNodes: 10,
-		Running: []RunningJob{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
+		Running: runSlice{{Job: qj(99, 4, 1000), Nodes: 4, ExpectedEnd: 1000}},
 		Queue: []*jobs.Job{
 			qj(1, 8, 1000),
 			qj(3, 2, 1500),
@@ -122,7 +122,7 @@ func TestSchedulersNeverOvercommit(t *testing.T) {
 	scheds := []Scheduler{FCFS{}, EASY{}, Conservative{}}
 	v := View{
 		Now: 0, Free: 7, TotalNodes: 10,
-		Running: []RunningJob{{Job: qj(99, 3, 400), Nodes: 3, ExpectedEnd: 400}},
+		Running: runSlice{{Job: qj(99, 3, 400), Nodes: 3, ExpectedEnd: 400}},
 		Queue: []*jobs.Job{
 			qj(1, 5, 300), qj(2, 4, 200), qj(3, 2, 100), qj(4, 1, 50), qj(5, 3, 700),
 		},
@@ -193,6 +193,13 @@ func TestProfileMaxUsedIn(t *testing.T) {
 	}
 }
 
+// runSlice is a slice-backed RunningSet; the slice must already be in
+// RunningSet order.
+type runSlice []RunningJob
+
+func (s runSlice) Len() int            { return len(s) }
+func (s runSlice) At(i int) RunningJob { return s[i] }
+
 func ids(js []*jobs.Job) []int64 {
 	var out []int64
 	for _, j := range js {
@@ -253,17 +260,18 @@ func TestEASYNeverDelaysHeadReservation(t *testing.T) {
 		queue[0].Nodes = 9 // force head blockage against 8 free
 		v := View{
 			Now: 0, Free: 8, TotalNodes: 16,
-			Running: []RunningJob{{Job: qj(99, 8, 2000), Nodes: 8, ExpectedEnd: 2000}},
+			Running: runSlice{{Job: qj(99, 8, 2000), Nodes: 8, ExpectedEnd: 2000}},
 			Queue:   queue,
 		}
 		head := queue[0]
-		shadow, _ := reservation(v.Now, v.Free, head.Nodes, v.Running)
+		running := v.Running.(runSlice)
+		shadow, _ := reservation(v.Now, v.Free, head.Nodes, running, nil)
 		picked := EASY{}.Pick(v)
 		// Simulate: at the shadow time, running jobs with ExpectedEnd <=
 		// shadow have freed their nodes; backfilled jobs that end after the
 		// shadow must fit in the leftover.
 		freeAtShadow := v.Free
-		for _, r := range v.Running {
+		for _, r := range running {
 			if r.ExpectedEnd <= shadow {
 				freeAtShadow += r.Nodes
 			}
