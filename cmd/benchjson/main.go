@@ -13,10 +13,12 @@
 //	go test -bench=. -benchmem -count=1 -run '^$' . | benchjson -out BENCH_<date>.json
 //
 // With -diff, benchjson instead compares two records it previously wrote
-// and reports per-benchmark deltas on ns/op, B/op and allocs/op. A
-// regression beyond -threshold percent on any compared metric makes the
-// exit status non-zero, which is how CI gates hot-path benchmarks against
-// the last committed baseline:
+// and reports per-benchmark deltas on ns/op, B/op and allocs/op. When a
+// record holds several samples of one benchmark (go test -count=N), each
+// side is the per-metric median of its samples, so one noisy sample moves
+// neither the baseline nor the candidate. A regression beyond -threshold
+// percent on any compared metric makes the exit status non-zero, which is
+// how CI gates hot-path benchmarks against the last committed baseline:
 //
 //	benchjson -diff -threshold 10 -bench BenchmarkEngineEventThroughput,BenchmarkSchedulerPickEASY old.json new.json
 package main
@@ -27,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -171,23 +174,13 @@ var diffMetrics = []string{"ns/op", "B/op", "allocs/op"}
 
 // diffRecords compares the benchmarks common to both records (or the ones
 // named in filter) and returns a human-readable report plus the number of
-// metrics that regressed beyond threshold percent. Benchmarks named in the
-// filter but missing from either record count as breaches — a CI gate must
-// not pass because the benchmark it guards silently disappeared.
+// metrics that regressed beyond threshold percent. Each side of a metric is
+// the median over that record's samples of the benchmark. Benchmarks named
+// in the filter but missing from either record count as breaches — a CI
+// gate must not pass because the benchmark it guards silently disappeared.
 func diffRecords(oldRec, newRec Record, threshold float64, filter []string) (string, int) {
-	oldBy := map[string]Benchmark{}
-	for _, b := range oldRec.Benchmarks {
-		oldBy[normalizeName(b.Name)] = b
-	}
-	newBy := map[string]Benchmark{}
-	var order []string
-	for _, b := range newRec.Benchmarks {
-		n := normalizeName(b.Name)
-		if _, dup := newBy[n]; !dup {
-			order = append(order, n)
-		}
-		newBy[n] = b
-	}
+	oldBy, _ := samplesByName(oldRec)
+	newBy, order := samplesByName(newRec)
 
 	var sb strings.Builder
 	breaches := 0
@@ -195,7 +188,7 @@ func diffRecords(oldRec, newRec Record, threshold float64, filter []string) (str
 	if len(filter) > 0 {
 		names = filter
 	}
-	fmt.Fprintf(&sb, "%-50s %-10s %14s %14s %9s\n", "benchmark", "metric", "old", "new", "delta")
+	fmt.Fprintf(&sb, "%-50s %-10s %14s %14s %9s %7s\n", "benchmark", "metric", "old median", "new median", "delta", "samples")
 	for _, name := range names {
 		nb, okNew := newBy[name]
 		ob, okOld := oldBy[name]
@@ -208,9 +201,9 @@ func diffRecords(oldRec, newRec Record, threshold float64, filter []string) (str
 			continue
 		}
 		for _, metric := range diffMetrics {
-			ov, okO := ob.Metrics[metric]
-			nv, okN := nb.Metrics[metric]
-			if !okO || !okN {
+			ov, on := median(ob, metric)
+			nv, nn := median(nb, metric)
+			if on == 0 || nn == 0 {
 				continue
 			}
 			deltaPct := 0.0
@@ -224,10 +217,45 @@ func diffRecords(oldRec, newRec Record, threshold float64, filter []string) (str
 				mark = "  REGRESSION"
 				breaches++
 			}
-			fmt.Fprintf(&sb, "%-50s %-10s %14.2f %14.2f %+8.1f%%%s\n", name, metric, ov, nv, deltaPct, mark)
+			fmt.Fprintf(&sb, "%-50s %-10s %14.2f %14.2f %+8.1f%% %3d/%-3d%s\n", name, metric, ov, nv, deltaPct, on, nn, mark)
 		}
 	}
 	return sb.String(), breaches
+}
+
+// samplesByName groups a record's samples by normalized benchmark name and
+// lists the names in first-seen order.
+func samplesByName(rec Record) (map[string][]Benchmark, []string) {
+	by := map[string][]Benchmark{}
+	var order []string
+	for _, b := range rec.Benchmarks {
+		n := normalizeName(b.Name)
+		if _, seen := by[n]; !seen {
+			order = append(order, n)
+		}
+		by[n] = append(by[n], b)
+	}
+	return by, order
+}
+
+// median returns the median of metric over the samples that report it,
+// and how many do.
+func median(samples []Benchmark, metric string) (float64, int) {
+	var vs []float64
+	for _, b := range samples {
+		if v, ok := b.Metrics[metric]; ok {
+			vs = append(vs, v)
+		}
+	}
+	if len(vs) == 0 {
+		return 0, 0
+	}
+	slices.Sort(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m], len(vs)
+	}
+	return (vs[m-1] + vs[m]) / 2, len(vs)
 }
 
 func missingSide(okOld, okNew bool) string {

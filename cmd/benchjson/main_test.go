@@ -71,3 +71,24 @@ func TestDiffMetricsOrderAndBudget(t *testing.T) {
 		t.Fatalf("breaches = %d, want 2 (B/op and allocs/op)\n%s", breaches, report)
 	}
 }
+
+// TestDiffComparesMedians: with several samples of a benchmark on a side,
+// the gate compares medians, so neither one slow sample nor one fast
+// sample decides it.
+func TestDiffComparesMedians(t *testing.T) {
+	old := rec(bm("BenchmarkA", 100, 64, 2), bm("BenchmarkA", 98, 64, 2), bm("BenchmarkA", 140, 64, 2))
+	// The last sample alone reads +100%; the median reads +2%.
+	noisy := rec(bm("BenchmarkA", 101, 64, 2), bm("BenchmarkA", 103, 64, 2), bm("BenchmarkA", 99, 64, 2), bm("BenchmarkA", 200, 64, 2))
+	report, breaches := diffRecords(old, noisy, 10, []string{"BenchmarkA"})
+	if breaches != 0 {
+		t.Fatalf("breaches = %d, want 0 for a median within the gate\n%s", breaches, report)
+	}
+	if !strings.Contains(report, "100.00") || !strings.Contains(report, "102.00") || !strings.Contains(report, "3/4") {
+		t.Errorf("report does not show the medians 100 and 102 over 3/4 samples:\n%s", report)
+	}
+	// A real regression whose last sample happens to be fast still breaches.
+	slow := rec(bm("BenchmarkA", 150, 64, 2), bm("BenchmarkA", 160, 64, 2), bm("BenchmarkA", 95, 64, 2))
+	if _, b := diffRecords(old, slow, 10, []string{"BenchmarkA"}); b != 1 {
+		t.Fatalf("breaches = %d, want 1 for a median 50%% slower", b)
+	}
+}

@@ -8,8 +8,9 @@ import (
 
 // runPhase is where a running job is in its checkpoint lifecycle. The job
 // holds its nodes in every phase; it makes compute progress only while
-// phaseComputing.
-type runPhase int
+// phaseComputing. A byte, so it packs with running.ioActive and a running
+// record fits the 128-byte allocation size class.
+type runPhase uint8
 
 const (
 	// phaseComputing: normal execution, finish event armed.

@@ -36,8 +36,8 @@ type running struct {
 	// During any non-computing phase the job holds its nodes and draws
 	// power but makes zero compute progress.
 	phase     runPhase
-	ioDone    simulator.Handle // pending checkpoint I/O completion
 	ioActive  bool             // a Begin on m.Ckpt awaits its EndIO
+	ioDone    simulator.Handle // pending checkpoint I/O completion
 	ioWork    float64          // WorkDone snapshot the in-flight write captures
 	ckptTimer simulator.Handle // pending periodic-checkpoint trigger
 }

@@ -12,6 +12,12 @@ import (
 // this many entries, where a flat sorted slice shifts half the set.
 const runChunkCap = 128
 
+// runSpares bounds the freed chunks a runOrder keeps for later splits.
+// Merges come in runs (a set that drains frees several chunks before it
+// splits again): on the 10k-node hollow run one spare still left ~800 of
+// ~1,900 chunk allocations, and sixteen leave none.
+const runSpares = 16
+
 // runKey orders running records: by end (zero in the ID order), then by
 // job ID.
 type runKey struct {
@@ -36,9 +42,13 @@ type runEntry struct {
 // record. A full chunk splits in two; a chunk under a quarter full merges
 // into a neighbour, or evens out with it when the pair does not fit in
 // one chunk. Slots a move vacates are cleared, so a removed record is not
-// kept alive. The last chunk stays allocated when it empties.
+// kept alive. The last chunk stays allocated when it empties, and a chunk
+// a merge frees is kept, cleared, for a later split to take (up to
+// runSpares of them), so a set whose size moves up and down within its
+// peak stops allocating chunks.
 type runOrder struct {
 	chunks [][]runEntry
+	spares [][]runEntry // empty, cleared chunks
 	n      int
 }
 
@@ -62,7 +72,15 @@ func (o *runOrder) insert(k runKey, r *running) {
 	ci := o.chunkFor(k)
 	c := o.chunks[ci]
 	if len(c) == runChunkCap {
-		hi := append(make([]runEntry, 0, runChunkCap), c[runChunkCap/2:]...)
+		var hi []runEntry
+		if n := len(o.spares); n > 0 {
+			hi = o.spares[n-1]
+			o.spares[n-1] = nil
+			o.spares = o.spares[:n-1]
+		} else {
+			hi = make([]runEntry, 0, runChunkCap)
+		}
+		hi = append(hi, c[runChunkCap/2:]...)
 		clear(c[runChunkCap/2:])
 		c = c[:runChunkCap/2]
 		o.chunks[ci] = c
@@ -100,6 +118,10 @@ func (o *runOrder) remove(k runKey) bool {
 	if len(a)+len(b) <= runChunkCap {
 		o.chunks[ci] = append(a, b...)
 		o.chunks = slices.Delete(o.chunks, ci+1, ci+2)
+		if len(o.spares) < runSpares {
+			clear(b)
+			o.spares = append(o.spares, b[:0])
+		}
 		return true
 	}
 	half := (len(a) + len(b)) / 2

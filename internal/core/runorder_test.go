@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"epajsrm/internal/cluster"
 	"epajsrm/internal/jobs"
@@ -14,7 +15,8 @@ import (
 // strictly ascending across chunks, every chunk within runChunkCap and, if
 // not the sole chunk, non-empty and at least a quarter full, n equal to the
 // entry count, and no slot beyond a chunk's length — nor beyond the chunk
-// list's — still pointing at anything.
+// list's or the spare list's, nor in a spare chunk — still pointing at
+// anything.
 func checkOrder(t *testing.T, o *runOrder) []runEntry {
 	t.Helper()
 	var all []runEntry
@@ -35,6 +37,24 @@ func checkOrder(t *testing.T, o *runOrder) []runEntry {
 	for i, c := range o.chunks[len(o.chunks):cap(o.chunks)] {
 		if c != nil {
 			t.Fatalf("chunk list slot %d beyond length %d still holds a chunk", len(o.chunks)+i, len(o.chunks))
+		}
+	}
+	if len(o.spares) > runSpares {
+		t.Fatalf("%d spare chunks, bound %d", len(o.spares), runSpares)
+	}
+	for si, c := range o.spares {
+		if len(c) != 0 || cap(c) != runChunkCap {
+			t.Fatalf("spare chunk %d len %d cap %d, want 0 and %d", si, len(c), cap(c), runChunkCap)
+		}
+		for i, e := range c[:cap(c)] {
+			if e != (runEntry{}) {
+				t.Fatalf("spare chunk %d slot %d still holds %+v", si, i, e)
+			}
+		}
+	}
+	for i, c := range o.spares[len(o.spares):cap(o.spares)] {
+		if c != nil {
+			t.Fatalf("spare list slot %d beyond length %d still holds a chunk", len(o.spares)+i, len(o.spares))
 		}
 	}
 	if len(all) != o.n {
@@ -58,7 +78,7 @@ func TestRunOrderMatchesSortedSlice(t *testing.T) {
 	var o runOrder
 	var ref []runEntry
 	nextID := int64(0)
-	var splits, merges, evens, empties int
+	var splits, merges, evens, empties, maxSpares int
 	lens := func() []int {
 		out := make([]int, len(o.chunks))
 		for i, c := range o.chunks {
@@ -72,6 +92,7 @@ func TestRunOrderMatchesSortedSlice(t *testing.T) {
 		if !slices.Equal(got, ref) {
 			t.Fatalf("runOrder holds %d entries differing from the %d-entry reference", len(got), len(ref))
 		}
+		maxSpares = max(maxSpares, len(o.spares))
 	}
 	insert := func(end simulator.Time) {
 		nextID++
@@ -155,12 +176,46 @@ func TestRunOrderMatchesSortedSlice(t *testing.T) {
 	for len(ref) > 0 {
 		remove(len(ref) - 1)
 	}
-	if splits == 0 || merges == 0 || evens < 2 || empties < 2 {
-		t.Fatalf("paths taken: %d splits, %d merges, %d even-outs, %d empties; want each", splits, merges, evens, empties)
+	if splits == 0 || merges == 0 || evens < 2 || empties < 2 || maxSpares != runSpares {
+		t.Fatalf("paths taken: %d splits, %d merges, %d even-outs, %d empties, %d spares at most; want each, and the spare bound reached",
+			splits, merges, evens, empties, maxSpares)
 	}
 	if len(o.chunks) != 1 {
 		t.Fatalf("empty runOrder keeps %d chunks, want its last one", len(o.chunks))
 	}
+}
+
+// TestRunOrderSplitMergeCycleAllocatesNothing: a set that grows past a
+// full chunk and shrinks back — one split and one merge per cycle —
+// reuses the chunk the merge frees, so after the first cycle it
+// allocates nothing.
+func TestRunOrderSplitMergeCycleAllocatesNothing(t *testing.T) {
+	var o runOrder
+	rs := make([]running, runChunkCap+1)
+	key := func(i int) runKey { return runKey{end: simulator.Time(i), id: int64(i)} }
+	const base = 95 // 64+31 after a split: the last removal merges
+	for i := 0; i < base; i++ {
+		o.insert(key(i), &rs[i])
+	}
+	cycle := func() {
+		for i := base; i <= runChunkCap; i++ {
+			o.insert(key(i), &rs[i])
+		}
+		if len(o.chunks) != 2 {
+			t.Fatalf("%d entries in %d chunks, want a split into 2", o.n, len(o.chunks))
+		}
+		for i := base; i <= runChunkCap; i++ {
+			o.remove(key(i))
+		}
+		if len(o.chunks) != 1 || len(o.spares) != 1 {
+			t.Fatalf("%d entries in %d chunks with %d spares, want a merge into 1 chunk and 1 spare", o.n, len(o.chunks), len(o.spares))
+		}
+	}
+	cycle() // the first split allocates the chunk every later cycle reuses
+	if a := testing.AllocsPerRun(50, cycle); a != 0 {
+		t.Fatalf("split/merge cycle allocates %.1f times, want 0", a)
+	}
+	checkOrder(t, &o)
 }
 
 // TestSetFracMovesOnlyWhenEndChanges pins the end index's move rule: a
@@ -252,5 +307,14 @@ func TestRunningSetWalksChunks(t *testing.T) {
 					now, i, got.Job.ID, got.ExpectedEnd, want[i].Job.ID, want[i].ExpectedEnd)
 			}
 		}
+	}
+}
+
+// TestRunningRecordFitsSizeClass: a running record stays within the
+// 128-byte allocation size class; one field more moves every start to
+// the 144-byte class (+1.6 MB over hollow-10k's 100k jobs).
+func TestRunningRecordFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(running{}); n > 128 {
+		t.Fatalf("running is %d bytes, over the 128-byte size class", n)
 	}
 }

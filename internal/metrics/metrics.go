@@ -22,9 +22,12 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind discriminates the metric types in a snapshot.
@@ -267,7 +270,7 @@ type Point struct {
 
 // Quantile estimates the q-th quantile from a histogram point's buckets
 // (see Histogram.Quantile); scalar kinds yield 0. It lets snapshot
-// consumers (the tsdb sampler, offline tooling) derive p50/p95/p99 series
+// consumers (offline tooling, the benchmark harness) derive p50/p95/p99 series
 // without reaching back into the live histogram.
 func (p Point) Quantile(q float64) float64 {
 	if p.Kind != KindHistogram {
@@ -285,10 +288,32 @@ type entry struct {
 	sh   *SyncHistogram
 }
 
+// value reads the entry's scalar: the count, the gauge or func value, or
+// the histogram mean.
+func (e entry) value() float64 {
+	switch e.kind {
+	case KindCounter:
+		return float64(e.c.Value())
+	case KindGauge:
+		return e.g.Value()
+	case KindFunc:
+		return e.f()
+	case KindHistogram:
+		if e.sh != nil {
+			e.sh.mu.Lock()
+			defer e.sh.mu.Unlock()
+			return e.sh.h.Mean()
+		}
+		return e.h.Mean()
+	}
+	return 0
+}
+
 // Registry is a named collection of metrics. Create with New.
 type Registry struct {
 	mu    sync.Mutex
 	items map[string]entry
+	gen   atomic.Uint64 // registrations so far; see Generation
 }
 
 // New returns an empty registry.
@@ -301,6 +326,57 @@ func (r *Registry) put(name string, e entry) {
 		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
 	}
 	r.items[name] = e
+	r.gen.Add(1)
+}
+
+// Generation moves on every registration. A reader holding Handles
+// resolves them again only when the generation differs from the one
+// Handles returned.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
+
+// Handle is one registered metric, resolved once so that a reader that
+// samples the registry repeatedly (the tsdb sampler) reads it without the
+// registry lock, a name lookup or an allocation.
+type Handle struct {
+	Name string
+	Kind Kind
+	e    entry
+}
+
+// Handles resolves every registered metric, sorted by name, and returns
+// the generation the list reflects.
+func (r *Registry) Handles() ([]Handle, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	hs := make([]Handle, 0, len(r.items))
+	for n, e := range r.items {
+		hs = append(hs, Handle{Name: n, Kind: e.kind, e: e})
+	}
+	slices.SortFunc(hs, func(a, b Handle) int { return strings.Compare(a.Name, b.Name) })
+	return hs, r.gen.Load()
+}
+
+// Value reads the metric's scalar, as Registry.Value does.
+func (h *Handle) Value() float64 { return h.e.value() }
+
+// Quantiles sets out[i] to the estimate of quantile qs[i] (see
+// Histogram.Quantile) and returns the observation count, all from one
+// state of the buckets. Scalar kinds set zeros and return 0.
+func (h *Handle) Quantiles(qs, out []float64) int64 {
+	hist := h.e.h
+	if sh := h.e.sh; sh != nil {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		hist = sh.h
+	}
+	if hist == nil {
+		clear(out)
+		return 0
+	}
+	for i, q := range qs {
+		out[i] = hist.Quantile(q)
+	}
+	return hist.n
 }
 
 // Counter creates and registers a counter under name.
@@ -356,57 +432,24 @@ func (r *Registry) Value(name string) float64 {
 	if !ok {
 		return 0
 	}
-	switch e.kind {
-	case KindCounter:
-		return float64(e.c.Value())
-	case KindGauge:
-		return e.g.Value()
-	case KindFunc:
-		return e.f()
-	case KindHistogram:
-		if e.sh != nil {
-			e.sh.mu.Lock()
-			defer e.sh.mu.Unlock()
-			return e.sh.h.Mean()
-		}
-		return e.h.Mean()
-	}
-	return 0
+	return e.value()
 }
 
 // Snapshot returns every metric, sorted by name.
 func (r *Registry) Snapshot() []Point {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.items))
-	for n := range r.items {
-		names = append(names, n)
-	}
-	entries := make([]entry, 0, len(names))
-	sort.Strings(names)
-	for _, n := range names {
-		entries = append(entries, r.items[n])
-	}
-	r.mu.Unlock()
-
-	out := make([]Point, len(names))
-	for i, n := range names {
-		e := entries[i]
-		p := Point{Name: n, Kind: e.kind}
-		switch e.kind {
-		case KindCounter:
-			p.Value = float64(e.c.Value())
-		case KindGauge:
-			p.Value = e.g.Value()
-		case KindFunc:
-			p.Value = e.f()
-		case KindHistogram:
-			if e.sh != nil {
-				e.sh.snap(&p)
-				break
-			}
+	hs, _ := r.Handles()
+	out := make([]Point, len(hs))
+	for i, h := range hs {
+		p := Point{Name: h.Name, Kind: h.Kind}
+		switch e := h.e; {
+		case e.sh != nil:
+			e.sh.snap(&p)
+		case e.kind == KindHistogram:
 			p.Value = e.h.Mean()
 			p.Bounds, p.Counts = e.h.Buckets()
 			p.Sum, p.Count = e.h.Sum(), e.h.Count()
+		default:
+			p.Value = e.value()
 		}
 		out[i] = p
 	}

@@ -126,3 +126,50 @@ func TestUnknownValueIsZero(t *testing.T) {
 		t.Fatalf("unknown metric = %g, want 0", got)
 	}
 }
+
+// TestHandlesMatchSnapshot: handles come sorted by name, read the values
+// a Snapshot reports (histogram quantiles and counts included, for both
+// histogram kinds), and the generation moves on every registration.
+func TestHandlesMatchSnapshot(t *testing.T) {
+	r := New()
+	gens := []uint64{r.Generation()}
+	r.Counter("b.count").Add(7)
+	gens = append(gens, r.Generation())
+	r.Gauge("a.gauge").Set(-2.5)
+	r.GaugeFunc("c.func", func() float64 { return 42 })
+	h := r.Histogram("d.hist", 1, 10, 100)
+	sh := r.SyncHistogram("e.sync", 1, 10, 100)
+	for _, v := range []float64{0.5, 3, 30, 300, 7} {
+		h.Observe(v)
+		sh.Observe(v * 2)
+	}
+	gens = append(gens, r.Generation())
+	if gens[0] != 0 || gens[1] != 1 || gens[2] != 5 {
+		t.Fatalf("generations %v, want [0 1 5]", gens)
+	}
+	hs, gen := r.Handles()
+	if gen != 5 {
+		t.Fatalf("Handles generation = %d, want 5", gen)
+	}
+	snap := r.Snapshot()
+	if len(hs) != len(snap) {
+		t.Fatalf("%d handles, %d snapshot points", len(hs), len(snap))
+	}
+	qs := []float64{0.5, 0.95, 0.99}
+	for i, p := range snap {
+		hd := &hs[i]
+		if hd.Name != p.Name || hd.Kind != p.Kind || hd.Value() != p.Value {
+			t.Fatalf("handle %d = %s %v %g, snapshot %s %v %g", i, hd.Name, hd.Kind, hd.Value(), p.Name, p.Kind, p.Value)
+		}
+		out := make([]float64, len(qs))
+		n := hd.Quantiles(qs, out)
+		if n != p.Count {
+			t.Fatalf("%s: Quantiles count %d, snapshot %d", p.Name, n, p.Count)
+		}
+		for k, q := range qs {
+			if out[k] != p.Quantile(q) {
+				t.Fatalf("%s: q%g = %g, snapshot %g", p.Name, q, out[k], p.Quantile(q))
+			}
+		}
+	}
+}

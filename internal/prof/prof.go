@@ -11,11 +11,13 @@
 // single predictable branch, so a run without profiling pays one
 // nil-check per site and nothing else (benchmarked and gated in CI).
 // When enabled, each phase transition costs exactly one monotonic
-// clock read: Enter charges the elapsed segment to the phase being
-// left behind (the parent, if any) and Exit charges it to the phase
-// being closed, so nested phases attribute *exclusively* — a
-// scheduling pass that spends most of its time inside the reservation
-// computation reports that time under sched_reservation, not twice.
+// clock read — an offset from the profiler's creation by time.Since,
+// which unlike time.Now skips the wall clock: Enter charges the elapsed
+// segment to the phase being left behind (the parent, if any) and Exit
+// charges it to the phase being closed, so nested phases attribute
+// *exclusively* — a scheduling pass that spends most of its time inside
+// the reservation computation reports that time under sched_reservation,
+// not twice.
 //
 // Determinism contract: the profiler observes the run, never steers
 // it. It takes no locks, schedules no events, and its measurements
@@ -86,7 +88,8 @@ const NumPhases = int(numPhases)
 // phase. The zero value is NOT usable — a disabled profiler is a nil
 // pointer, which every method tolerates; construct live ones with New.
 type Profiler struct {
-	t0     time.Time
+	base   time.Time     // creation instant; offsets are measured from it
+	t0     time.Duration // offset of the last phase transition
 	stack  []Phase
 	totals [numPhases]time.Duration
 	calls  [numPhases]int64
@@ -94,7 +97,7 @@ type Profiler struct {
 
 // New returns an enabled profiler with an empty phase stack.
 func New() *Profiler {
-	return &Profiler{stack: make([]Phase, 0, 16)}
+	return &Profiler{base: time.Now(), stack: make([]Phase, 0, 16)}
 }
 
 // Enter opens a phase, pausing the enclosing phase (if any) so time
@@ -103,9 +106,9 @@ func (p *Profiler) Enter(ph Phase) {
 	if p == nil {
 		return
 	}
-	now := time.Now()
+	now := time.Since(p.base)
 	if n := len(p.stack); n > 0 {
-		p.totals[p.stack[n-1]] += now.Sub(p.t0)
+		p.totals[p.stack[n-1]] += now - p.t0
 	}
 	p.stack = append(p.stack, ph)
 	p.calls[ph]++
@@ -124,8 +127,8 @@ func (p *Profiler) Exit() {
 	if n == 0 {
 		return
 	}
-	now := time.Now()
-	p.totals[p.stack[n-1]] += now.Sub(p.t0)
+	now := time.Since(p.base)
+	p.totals[p.stack[n-1]] += now - p.t0
 	p.stack = p.stack[:n-1]
 	p.t0 = now
 }

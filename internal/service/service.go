@@ -728,7 +728,9 @@ func (s *Service) runSim(r *Run) (err error) {
 	if err != nil {
 		return err
 	}
-	tr := trace.New()
+	// The run's only trace reader is the live /events stream, so its
+	// tracer keeps no history.
+	tr := trace.NewStreaming()
 	m.AttachTracer(tr)
 	// Every hosted run carries a phase profiler: its gauges ride the
 	// run's /metrics plane and its current phase the run's /healthz.

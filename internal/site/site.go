@@ -16,7 +16,6 @@ import (
 	"epajsrm/internal/esp"
 	"epajsrm/internal/fault"
 	"epajsrm/internal/jobs"
-	"epajsrm/internal/monitor"
 	"epajsrm/internal/policy"
 	"epajsrm/internal/power"
 	"epajsrm/internal/predict"
@@ -289,8 +288,9 @@ func STFC() Profile {
 		},
 		Attach: func(m *core.Manager) []core.Policy {
 			// STFC's production capability is the monitoring itself:
-			// continuous collection at data center, machine and job levels.
-			monitor.NewCollector(m.Cl, m.Pw, monitor.Options{}).Start(m.Eng)
+			// continuous collection at data center, machine and job levels
+			// is the manager's power.Telemetry sampling, and the user
+			// consumption reports are EnergyReport's per-job energy.
 			return []core.Policy{&policy.EnergyReport{}}
 		},
 	}
@@ -345,10 +345,12 @@ func CINECA() Profile {
 			RuntimeMedianSec: 1800, RuntimeSigma: 1.1, WalltimeFactorMax: 3, Users: 30,
 		},
 		Attach: func(m *core.Manager) []core.Policy {
-			core.UsePredictor(m, predict.NewRegression(180))
 			// Scalable power monitoring feeds the predictive models
-			// (CINECA + University of Bologna; the Examon lineage).
-			monitor.NewCollector(m.Cl, m.Pw, monitor.Options{}).Start(m.Eng)
+			// (CINECA + University of Bologna; the Examon lineage): the
+			// manager's power.Telemetry samples the draw, EnergyReport
+			// attributes per-job energy, and the regression learns from
+			// each completed job's metered draw.
+			core.UsePredictor(m, predict.NewRegression(180))
 			return []core.Policy{
 				&policy.DVFSBudget{BudgetW: 14e3, StartUnderBudget: true},
 				&policy.EnergyReport{},

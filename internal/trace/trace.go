@@ -12,6 +12,13 @@
 //     so a 7-day run renders as a ~605-second timeline.
 //   - JSONL (WriteJSONL), one event object per line, for jq/awk pipelines.
 //
+// A tracer from New keeps every event for those exports. One from
+// NewStreaming keeps no history: each event only fans out to the live
+// Subscribe channels, so its memory stays flat however long the run. The
+// simulation service gives each hosted run such a tracer, because the
+// run's only trace reader is its /events stream; epasim -trace and
+// epabench -trace keep full retention.
+//
 // Zero-cost-when-disabled contract: callers hold a nil *Tracer when
 // tracing is off and guard every emission with a single nil-check
 // (`if m.Tr != nil { ... }`). No Tracer method is safe on a nil receiver
@@ -72,6 +79,7 @@ type Event struct {
 // emission is single-goroutine.
 type Tracer struct {
 	mu     sync.Mutex
+	keep   bool // retain events for export (false: stream only)
 	events []Event
 	procs  map[int]string // pid -> process_name metadata
 	tids   map[int]string // (pid<<32|tid) is overkill; jobs own PidJobs tids
@@ -90,9 +98,17 @@ type subscriber struct {
 	ch chan Event
 }
 
-// New returns an enabled tracer with named default tracks.
-func New() *Tracer {
-	t := &Tracer{procs: map[int]string{}, tids: map[int]string{}}
+// New returns an enabled tracer with named default tracks that keeps
+// every event for export.
+func New() *Tracer { return newTracer(true) }
+
+// NewStreaming returns an enabled tracer that keeps no event history:
+// events reach only the subscribers present when they are emitted, Len
+// stays 0 and the exports hold only track metadata.
+func NewStreaming() *Tracer { return newTracer(false) }
+
+func newTracer(keep bool) *Tracer {
+	t := &Tracer{keep: keep, procs: map[int]string{}, tids: map[int]string{}}
 	t.SetProcessName(PidJobs, "jobs")
 	t.SetProcessName(PidSched, "scheduler")
 	t.SetProcessName(PidPower, "power")
@@ -137,7 +153,9 @@ func (t *Tracer) Counter(pid int, name string, ts simulator.Time, value float64)
 
 func (t *Tracer) emit(e Event) {
 	t.mu.Lock()
-	t.events = append(t.events, e)
+	if t.keep {
+		t.events = append(t.events, e)
+	}
 	for _, s := range t.subs {
 		select {
 		case s.ch <- e:
@@ -186,7 +204,7 @@ func (t *Tracer) Subscribe(buf int) (<-chan Event, func()) {
 // registry as ops.events_dropped.
 func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 
-// Len returns the number of buffered events.
+// Len returns the number of buffered events (0 for a streaming tracer).
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

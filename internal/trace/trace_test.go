@@ -137,3 +137,28 @@ func TestVirtualTimestampsOnly(t *testing.T) {
 		t.Fatalf("ts = %v, want %v", evs[0].Ts, at)
 	}
 }
+
+// TestStreamingTracerKeepsNoHistory: a streaming tracer delivers every
+// event to a live subscriber, in emission order, and retains none.
+func TestStreamingTracerKeepsNoHistory(t *testing.T) {
+	tr := NewStreaming()
+	tr.Instant(PidSched, 0, "before-subscribe", 1)
+	ch, cancel := tr.Subscribe(8)
+	tr.Span(PidJobs, 17, "run", 100, 350, Arg{"nodes", 4})
+	tr.Counter(PidPower, "it_power_w", 120, 2500.25)
+	cancel()
+	var names []string
+	for e := range ch {
+		names = append(names, e.Name)
+	}
+	if strings.Join(names, ",") != "run,it_power_w" {
+		t.Fatalf("subscriber saw %v, want [run it_power_w]", names)
+	}
+	if tr.Len() != 0 || len(tr.Events()) != 0 {
+		t.Fatalf("streaming tracer retained %d events", tr.Len())
+	}
+	var b bytes.Buffer
+	if err := tr.WriteJSONL(&b); err != nil || b.Len() != 0 {
+		t.Fatalf("JSONL export of a streaming tracer = %q, %v; want empty", b.String(), err)
+	}
+}

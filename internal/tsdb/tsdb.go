@@ -24,6 +24,7 @@ package tsdb
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,50 +83,71 @@ func (c *Config) fill() {
 	}
 }
 
-// ring is a fixed-capacity circular buffer of samples.
+// ring is a circular buffer of samples that grows on demand up to max,
+// so a short run holds only what it sampled. Until it first fills, buf
+// holds the live samples oldest first and head is 0; after that head
+// indexes the oldest sample, which the next push overwrites. Pushes come
+// in time order, so the live samples are sorted by T.
 type ring struct {
 	buf  []Sample
-	head int // index of the next write
-	n    int // live count (≤ len(buf))
+	head int
+	max  int
 }
 
-func newRing(cap int) ring { return ring{buf: make([]Sample, cap)} }
-
 func (r *ring) push(s Sample) {
+	if len(r.buf) < r.max {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Sample, len(r.buf), min(max(2*cap(r.buf), 16), r.max))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, s)
+		return
+	}
 	r.buf[r.head] = s
-	r.head = (r.head + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
 	}
 }
 
 // at returns the i-th live sample, oldest first.
 func (r *ring) at(i int) Sample {
-	start := (r.head - r.n + len(r.buf)) % len(r.buf)
-	return r.buf[(start+i)%len(r.buf)]
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
 }
 
 func (r *ring) oldest() (Sample, bool) {
-	if r.n == 0 {
+	if len(r.buf) == 0 {
 		return Sample{}, false
 	}
 	return r.at(0), true
 }
 
 func (r *ring) newest() (Sample, bool) {
-	if r.n == 0 {
+	if len(r.buf) == 0 {
 		return Sample{}, false
 	}
-	return r.at(r.n - 1), true
+	return r.at(len(r.buf) - 1), true
 }
 
 // all copies the live samples, oldest first.
 func (r *ring) all() []Sample {
-	out := make([]Sample, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.at(i)
-	}
-	return out
+	out := make([]Sample, 0, len(r.buf))
+	return append(append(out, r.buf[r.head:]...), r.buf[:r.head]...)
+}
+
+// window returns the positions [i, j) of the live samples stamped in
+// [from, to], or in (from, to] when open; both ends are binary searches
+// over the time-ordered ring.
+func (r *ring) window(from, to simulator.Time, open bool) (i, j int) {
+	i = sort.Search(len(r.buf), func(k int) bool {
+		t := r.at(k).T
+		return t > from || (!open && t == from)
+	})
+	j = sort.Search(len(r.buf), func(k int) bool { return r.at(k).T > to })
+	return i, max(i, j)
 }
 
 // accum gathers raw samples for one pending rollup window.
@@ -156,6 +178,14 @@ type series struct {
 	acc     [numTiers - 1]accum // pending mid, long windows
 }
 
+// probe is one registry metric compiled for sampling: its handle and the
+// series each reading feeds — the metric's own series, or a histogram's
+// p50, p95, p99 and count series in that order.
+type probe struct {
+	h   metrics.Handle
+	out []*series
+}
+
 // Store samples a registry into per-metric multi-tier rings.
 type Store struct {
 	mu     sync.Mutex
@@ -164,7 +194,8 @@ type Store struct {
 	step   simulator.Time
 	series map[string]*series
 	names  []string // sorted keys of series
-	ticks  int64
+	probes []probe  // the registry in name order, as of generation gen
+	gen    uint64
 	lastT  simulator.Time
 	taken  bool // at least one sample taken (distinguishes lastT==0)
 }
@@ -179,60 +210,91 @@ func New(reg *metrics.Registry, cfg Config) *Store {
 // Step is the sampling cadence.
 func (s *Store) Step() simulator.Time { return s.step }
 
-// quantileSuffixes maps the derived gauge series a histogram expands to.
-var quantileSuffixes = []struct {
-	suffix string
-	q      float64
-}{
-	{".p50", 0.50},
-	{".p95", 0.95},
-	{".p99", 0.99},
-}
+// quantiles are the estimates a histogram expands to, each a gauge
+// series named by its suffix; a fourth series, name+".count", takes the
+// observation count as a counter.
+var (
+	quantiles        = [...]float64{0.50, 0.95, 0.99}
+	quantileSuffixes = [len(quantiles)]string{".p50", ".p95", ".p99"}
+)
 
 // Sample takes one observation of every registry metric at virtual time
-// now. A repeated call at the same timestamp is a no-op, so the final
-// end-of-run sample can be taken unconditionally.
+// now. A call at or before the last sample's time is a no-op, so the
+// final end-of-run sample can be taken unconditionally and the rings stay
+// time-ordered.
+//
+// The registry is compiled into probes, in name order, and compiled
+// again only when its generation has moved, so a sample sorts nothing,
+// looks up no name and allocates nothing once every ring has grown.
 func (s *Store) Sample(now simulator.Time) {
-	snap := s.reg.Snapshot() // registry locks itself; keep it outside ours
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.taken && now == s.lastT {
+	if s.taken && now <= s.lastT {
 		return
 	}
-	for _, p := range snap {
-		switch p.Kind {
+	if s.probes == nil || s.reg.Generation() != s.gen {
+		s.compile()
+	}
+	var qv [len(quantiles)]float64
+	for i := range s.probes {
+		p := &s.probes[i]
+		switch p.h.Kind {
 		case metrics.KindCounter:
-			s.push(p.Name, true, now, p.Value)
+			p.out[0].push(true, now, p.h.Value())
 		case metrics.KindGauge, metrics.KindFunc:
-			s.push(p.Name, false, now, p.Value)
+			p.out[0].push(false, now, p.h.Value())
 		case metrics.KindHistogram:
-			for _, qs := range quantileSuffixes {
-				s.push(p.Name+qs.suffix, false, now, p.Quantile(qs.q))
+			n := p.h.Quantiles(quantiles[:], qv[:])
+			for k, v := range qv {
+				p.out[k].push(false, now, v)
 			}
-			s.push(p.Name+".count", true, now, float64(p.Count))
+			p.out[len(quantiles)].push(true, now, float64(n))
 		}
 	}
-	s.ticks++
 	s.lastT = now
 	s.taken = true
 }
 
-// push records one observation into a series, creating it on first
-// sight, translating counters to deltas, and flushing rollup windows at
-// tier boundaries.
-func (s *Store) push(name string, counter bool, now simulator.Time, v float64) {
-	sr, ok := s.series[name]
-	if !ok {
-		sr = &series{counter: counter}
-		sr.tiers[TierRaw] = newRing(s.cfg.RawCap)
-		sr.tiers[TierMid] = newRing(s.cfg.MidCap)
-		sr.tiers[TierLong] = newRing(s.cfg.LongCap)
-		s.series[name] = sr
-		i := sort.SearchStrings(s.names, name)
-		s.names = append(s.names, "")
-		copy(s.names[i+1:], s.names[i:])
-		s.names[i] = name
+// compile resolves the registry into probes, creating the series each
+// one feeds. Series are created in the order the samples first reach
+// them, so a name two metrics share (a histogram's "x.count" and a
+// counter registered as "x.count") takes its kind from the first, as it
+// would by pushing.
+func (s *Store) compile() {
+	hs, gen := s.reg.Handles()
+	s.probes, s.gen = make([]probe, len(hs)), gen
+	for i, h := range hs {
+		p := probe{h: h}
+		if h.Kind == metrics.KindHistogram {
+			for _, sfx := range quantileSuffixes {
+				p.out = append(p.out, s.seriesFor(h.Name+sfx, false))
+			}
+			p.out = append(p.out, s.seriesFor(h.Name+".count", true))
+		} else {
+			p.out = []*series{s.seriesFor(h.Name, h.Kind == metrics.KindCounter)}
+		}
+		s.probes[i] = p
 	}
+}
+
+// seriesFor returns the named series, creating it on first sight.
+func (s *Store) seriesFor(name string, counter bool) *series {
+	if sr, ok := s.series[name]; ok {
+		return sr
+	}
+	sr := &series{counter: counter}
+	sr.tiers[TierRaw].max = s.cfg.RawCap
+	sr.tiers[TierMid].max = s.cfg.MidCap
+	sr.tiers[TierLong].max = s.cfg.LongCap
+	s.series[name] = sr
+	i, _ := slices.BinarySearch(s.names, name)
+	s.names = slices.Insert(s.names, i, name)
+	return sr
+}
+
+// push records one observation, translating counters to deltas and
+// flushing rollup windows at tier boundaries.
+func (sr *series) push(counter bool, now simulator.Time, v float64) {
 	if counter {
 		v, sr.last = v-sr.last, v
 	}
@@ -339,12 +401,11 @@ func (s *Store) Query(name string, from, to, step simulator.Time) (out []Sample,
 	}
 	t := s.pickTier(sr, from, step)
 	r := &sr.tiers[t]
-	for i := 0; i < r.n; i++ {
-		smp := r.at(i)
-		if smp.T < from || smp.T > to {
-			continue
+	if i, j := r.window(from, to, false); j > i {
+		out = make([]Sample, 0, j-i)
+		for ; i < j; i++ {
+			out = append(out, r.at(i))
 		}
-		out = append(out, smp)
 	}
 	return out, s.TierStep(t), true
 }
@@ -382,11 +443,9 @@ func (s *Store) Reduce(name string, from, to simulator.Time, op Op) (v float64, 
 	t := s.pickTier(sr, from, 0)
 	tierStep = s.TierStep(t)
 	r := &sr.tiers[t]
-	for i := 0; i < r.n; i++ {
+	i, j := r.window(from, to, true)
+	for ; i < j; i++ {
 		smp := r.at(i)
-		if smp.T <= from || smp.T > to {
-			continue
-		}
 		n++
 		switch op {
 		case OpSum:
