@@ -33,7 +33,7 @@
 // Observability: -access-log <file> ('-' for stderr) writes one
 // structured JSONL line per request — request ID, verb, endpoint,
 // status, latency, and whatever the handler learned (run, tenant,
-// shed reason, control-loop phase). -blackbox <file> arms an
+// shed reason, recovered flag). -blackbox <file> arms an
 // in-memory flight recorder (-flight-cap bounds its ring) that dumps
 // recent service events plus in-flight request IDs to the file on
 // SIGQUIT, a run panic, or the journal failing closed; SIGQUIT is a

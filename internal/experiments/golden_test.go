@@ -16,14 +16,16 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files fro
 // the power meters together), the SLO watchdog, the policies that read
 // the manager's running set — E4's per-node demand and bulk retiming, E6's
 // emergency victim choice and pending-shed sum, E13's grid-aware
-// shedding — and E12, the only experiment that runs Conservative
-// backfilling. The parallel-vs-sequential test asserts procs-invariance of
-// whatever the current tree produces; this test additionally asserts the
-// render is byte-identical to the output captured before the data
-// structure under it was reworked (E21/E22 before the compact-layout and
-// calendar-queue rework, E4/E6/E13 before the ID-ordered running index,
-// E12 before the end-ordered index the reservations walk),
-// so a data-structure change that shifts event order or float
+// shedding — E12, the only experiment that runs Conservative
+// backfilling, and E19's power-hierarchy archive. The
+// parallel-vs-sequential test asserts procs-invariance of whatever the
+// current tree produces; this test additionally asserts the render is
+// byte-identical to the output captured before the data structure under
+// it was reworked (E21/E22 before the compact-layout and calendar-queue
+// rework, E4/E6/E13 before the ID-ordered running index, E12 before the
+// end-ordered index the reservations walk, E19 before its power
+// hierarchy moved from a dedicated collector to registry gauges sampled
+// by tsdb), so a data-structure change that shifts event order or float
 // accumulation order fails loudly rather than silently re-baselining.
 var goldenCases = []struct {
 	file string
@@ -33,6 +35,7 @@ var goldenCases = []struct {
 	{"e6_seed2.golden", E6Emergency},
 	{"e12_seed2.golden", E12Backfill},
 	{"e13_seed2.golden", E13GridAware},
+	{"e19_seed2.golden", E19Monitoring},
 	{"e21_seed2.golden", E21Resilience},
 	{"e22_seed2.golden", E22CheckpointSweep},
 	{"e24_seed2.golden", E24SLOWatchdog},

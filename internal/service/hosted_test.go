@@ -45,9 +45,9 @@ func TestHostedRunObserverBudget(t *testing.T) {
 	}
 }
 
-// TestHostedRunStreamsEvents: a hosted run's /events stream still
-// delivers trace events while the run advances, though its tracer keeps
-// none of them.
+// TestHostedRunStreamsEvents: a hosted run's /events stream, reached
+// through the service router while the run is inside a slice, delivers
+// trace events as the run advances, though its tracer keeps none of them.
 func TestHostedRunStreamsEvents(t *testing.T) {
 	s := mustNew(t, Default())
 	defer shutdownOK(t, s)
@@ -79,16 +79,13 @@ func TestHostedRunStreamsEvents(t *testing.T) {
 		t.Fatal("run never reached its first virtual hour")
 	}
 
-	// The service router reads the run's phase under the run's lock, which
-	// the held engine owns; serve the run's own ops handler directly.
-	s.mu.Lock()
-	srv := run.srv
-	s.mu.Unlock()
-	ts := httptest.NewServer(srv.Handler())
+	// Subscribe through the service router while the held engine owns
+	// the run's lock: the router must reach the stream without it.
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/runs/"+run.ID+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

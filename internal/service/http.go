@@ -267,19 +267,12 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request, rest string)
 	// scrape of one tenant's run cannot stall another's.
 	s.mu.Lock()
 	srv := run.srv
-	m := run.m
 	state := run.state
 	s.mu.Unlock()
 	if srv == nil {
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusConflict, "run not started (state "+string(state)+")")
 		return
-	}
-	if ri != nil && m != nil {
-		// The profiler belongs to the executor's control loop; reading
-		// its current phase takes the same per-run lock the delegated
-		// handler is about to take anyway.
-		srv.Locked(func() { ri.annotate(func(ri *reqInfo) { ri.phase = m.Prof.Current() }) })
 	}
 	r2 := r.Clone(r.Context())
 	r2.URL.Path = "/" + sub

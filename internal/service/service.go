@@ -148,7 +148,7 @@ type Config struct {
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// HTTP request (log/slog JSONL): request ID, verb, endpoint, status,
 	// latency, plus whatever the handler learned (run, tenant, shed
-	// reason, the run's recovered flag and control-loop phase).
+	// reason, the run's recovered flag).
 	AccessLog io.Writer
 	// Flight, when non-nil, is the black-box recorder the service feeds
 	// with admission, shed, dispatch, terminal, cancel, reap, journal

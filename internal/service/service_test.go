@@ -419,11 +419,28 @@ func TestFairShareDispatch(t *testing.T) {
 }
 
 // TestGracefulShutdownDrains: an in-flight run finishes normally inside
-// the drain deadline and queued runs are cancelled, not lost.
+// the drain deadline and queued runs are cancelled, not lost. The first
+// run is held inside its simulation until Shutdown has cancelled the
+// queue, since a short run left free could finish, and let the second be
+// dispatched, before Shutdown is called.
 func TestGracefulShutdownDrains(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxActive = 1
 	s := mustNew(t, cfg)
+	reached, release := make(chan struct{}), make(chan struct{})
+	setBuild(s, func(sp Spec) (*core.Manager, []*jobs.Job, site.Profile, error) {
+		m, js, p, err := defaultBuild(sp)
+		if err != nil || sp.Seed != 1 {
+			return m, js, p, err
+		}
+		if _, err := m.Eng.At(simulator.Hour, "test-hold", func(simulator.Time) {
+			close(reached)
+			<-release
+		}); err != nil {
+			return nil, nil, p, err
+		}
+		return m, js, p, nil
+	})
 	r1, err := s.Submit(spec("a", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -432,11 +449,19 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, r1.ID, StateRunning)
+	select {
+	case <-reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("first run never reached its hold")
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(ctx) }()
+	waitState(t, s, r2.ID, StateCancelled)
+	close(release)
+	if err := <-shut; err != nil {
 		t.Fatalf("graceful Shutdown: %v", err)
 	}
 	s.mu.Lock()

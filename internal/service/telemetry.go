@@ -8,9 +8,8 @@ package service
 // committed. The middleware also owns the per-endpoint latency
 // histograms and the in-flight gauge; handlers annotate the in-context
 // reqInfo with what they learned (run ID, tenant, shed reason, the
-// run's recovered flag and current control-loop phase) and the
-// middleware folds those annotations into the structured access-log
-// line after the response is written.
+// run's recovered flag) and the middleware folds those annotations into
+// the structured access-log line after the response is written.
 
 import (
 	"context"
@@ -36,7 +35,6 @@ type reqInfo struct {
 	run       string // run ID the request touched or created
 	tenant    string
 	shed      string // admission shed reason, when the request was refused
-	phase     string // the run's current control-loop phase (per-run endpoints)
 	recovered bool   // the touched run was journal-recovered
 }
 
@@ -238,7 +236,7 @@ func (s *Service) telemetry(next http.Handler) http.Handler {
 			slog.Float64("dur_ms", float64(dur)/float64(time.Millisecond)),
 		}
 		ri.mu.Lock()
-		run, tenant, shed, phase, recovered := ri.run, ri.tenant, ri.shed, ri.phase, ri.recovered
+		run, tenant, shed, recovered := ri.run, ri.tenant, ri.shed, ri.recovered
 		ri.mu.Unlock()
 		if run != "" {
 			attrs = append(attrs, slog.String("run", run))
@@ -248,9 +246,6 @@ func (s *Service) telemetry(next http.Handler) http.Handler {
 		}
 		if shed != "" {
 			attrs = append(attrs, slog.String("shed", shed))
-		}
-		if phase != "" {
-			attrs = append(attrs, slog.String("phase", phase))
 		}
 		if recovered {
 			attrs = append(attrs, slog.Bool("recovered", true))

@@ -17,14 +17,16 @@ import (
 // drives it and Store side by side.
 
 type refRing struct {
-	buf  []Sample
-	head int
-	n    int
+	buf    []Sample
+	head   int
+	n      int
+	pushes int
 }
 
 func newRefRing(c int) refRing { return refRing{buf: make([]Sample, c)} }
 
 func (r *refRing) push(s Sample) {
+	r.pushes++
 	r.buf[r.head] = s
 	r.head = (r.head + 1) % len(r.buf)
 	if r.n < len(r.buf) {
@@ -280,27 +282,47 @@ func sameSamples(a, b []Sample) bool {
 	return true
 }
 
+// blockCoverage counts the block layouts a ring reached: full rings of
+// several blocks whose oldest sample had moved past the first block, so
+// the live window wraps across a block boundary, and rings with a
+// partial last block pushed through at least twice, so the head crossed
+// the partial block back to the first one.
+type blockCoverage struct{ crossed, cycled int }
+
+func (c *blockCoverage) observe(r *ring, ref *refRing) {
+	if len(r.blocks) < 2 || r.n != r.max {
+		return
+	}
+	if r.head >= blockSize {
+		c.crossed++
+	}
+	if r.max%blockSize != 0 && ref.pushes >= 2*r.max {
+		c.cycled++
+	}
+}
+
 // TestCompiledSamplerMatchesReference drives Store and the reference
 // over seeded random registries — counters, gauges, funcs, histograms and
 // SyncHistograms, metrics registered mid-run, names shared with a
-// histogram's derived series, repeated timestamps, and caps small enough
-// that every tier wraps — and requires identical Names, bit-equal
-// Samples at every tier and bit-equal Query and Reduce results over
-// random windows.
+// histogram's derived series, repeated timestamps, and caps that make
+// every tier wrap and raw rings span several blocks, with a partial last
+// block — and requires identical Names, bit-equal Samples at every tier
+// and bit-equal Query and Reduce results over random windows.
 func TestCompiledSamplerMatchesReference(t *testing.T) {
 	var escalated, evicted, windows int
+	var blocks blockCoverage
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{Step: simulator.Minute, RawCap: 1 + rng.Intn(40), MidCap: 1 + rng.Intn(8), LongCap: 1 + rng.Intn(4)}
+		cfg := Config{Step: simulator.Minute, RawCap: 1 + rng.Intn(3*blockSize), MidCap: 1 + rng.Intn(80), LongCap: 1 + rng.Intn(8)}
 		rr := &randomRegistry{rng: rng, reg: metrics.New(), names: map[string]bool{}}
 		for n := 1 + rng.Intn(6); n > 0; n-- {
 			rr.register()
 		}
 		st, ref := New(rr.reg, cfg), newRef(rr.reg, cfg)
-		const steps = 700 // over 5 long windows: every tier wraps at these caps
+		const steps = 2000 // ~1,800 raw samples: twice round a 3-block raw ring, every mid and long ring wraps
 		now := simulator.Time(0)
 		for i := 1; i <= steps; i++ {
-			if rng.Intn(40) == 0 {
+			if rng.Intn(150) == 0 {
 				rr.register()
 			}
 			rr.move()
@@ -309,7 +331,7 @@ func TestCompiledSamplerMatchesReference(t *testing.T) {
 			}
 			st.Sample(now)
 			ref.Sample(now)
-			if i%50 != 0 && i != steps {
+			if i%100 != 0 && i != steps {
 				continue
 			}
 			names := st.Names()
@@ -326,6 +348,7 @@ func TestCompiledSamplerMatchesReference(t *testing.T) {
 						if rs.tiers[tier].n == len(rs.tiers[tier].buf) && rs.tiers[tier].n > 0 && tier == TierRaw {
 							evicted++
 						}
+						blocks.observe(&st.series[name].tiers[tier], &rs.tiers[tier])
 					}
 					if ok != rok || !sameSamples(got, want) {
 						t.Fatalf("seed %d step %d: %s tier %d Samples\n%v\nwant\n%v", seed, i, name, tier, got, want)
@@ -359,10 +382,12 @@ func TestCompiledSamplerMatchesReference(t *testing.T) {
 		}
 	}
 	// The caps and windows must reach the cases the windowed reads could
-	// get wrong: full rings that evicted, and reads served by a coarser
-	// tier because the raw one had evicted the window's start.
-	if escalated == 0 || evicted == 0 || windows == 0 {
-		t.Fatalf("coverage: %d escalated reductions, %d evicted raw rings, %d non-empty windows", escalated, evicted, windows)
+	// get wrong: full rings that evicted, reads served by a coarser tier
+	// because the raw one had evicted the window's start, and the block
+	// layouts the ring's index arithmetic could get wrong.
+	if escalated == 0 || evicted == 0 || windows == 0 || blocks.crossed == 0 || blocks.cycled == 0 {
+		t.Fatalf("coverage: %d escalated reductions, %d evicted raw rings, %d non-empty windows, %+v block layouts",
+			escalated, evicted, windows, blocks)
 	}
 }
 
@@ -389,5 +414,64 @@ func TestSampleAllocatesNothingOnceGrown(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, sample); a != 0 {
 		t.Fatalf("Sample allocates %.1f times per call once grown, want 0", a)
+	}
+}
+
+// TestRingMatchesReference pushes through rings of caps around one,
+// two and three blocks, including partial last blocks, and requires
+// every read to match a single preallocated reference ring after every
+// push: samples at each position, oldest and newest, windows, and the
+// ring allocating only the blocks it holds, the last one no larger than
+// the cap needs.
+func TestRingMatchesReference(t *testing.T) {
+	for _, c := range []int{1, 2, blockSize - 1, blockSize, blockSize + 1, 2*blockSize - 3, 2 * blockSize, 2*blockSize + 5, 3*blockSize + 100} {
+		r, ref := ring{max: c}, newRefRing(c)
+		for p := 1; p <= 3*c+blockSize/2; p++ {
+			s := Sample{T: simulator.Time(2 * p), V: float64(p)}
+			r.push(s)
+			ref.push(s)
+			if r.n != ref.n {
+				t.Fatalf("cap %d push %d: n = %d, want %d", c, p, r.n, ref.n)
+			}
+			size := 0
+			for _, b := range r.blocks {
+				size += len(b)
+			}
+			if len(r.blocks) != (r.n+blockSize-1)/blockSize || size != min(len(r.blocks)*blockSize, c) {
+				t.Fatalf("cap %d push %d: %d blocks of %d samples in all for %d samples", c, p, len(r.blocks), size, r.n)
+			}
+			if o, _ := r.oldest(); o != ref.at(0) {
+				t.Fatalf("cap %d push %d: oldest %v, want %v", c, p, o, ref.at(0))
+			}
+			if nw, _ := r.newest(); nw != s {
+				t.Fatalf("cap %d push %d: newest %v, want %v", c, p, nw, s)
+			}
+			// Full comparisons where the layout changes: near block
+			// boundaries and at the ring's own boundaries.
+			if q := (p - 1) % c; q%blockSize > 2 && q%blockSize < blockSize-2 && q < c-2 && p < 3*c {
+				continue
+			}
+			if got := r.appendRange(nil, 0, r.n); !sameSamples(got, ref.all()) {
+				t.Fatalf("cap %d push %d: samples\n%v\nwant\n%v", c, p, got, ref.all())
+			}
+			lo, hi := ref.at(0).T, s.T
+			for _, w := range [][2]simulator.Time{{lo, hi}, {lo - 1, lo}, {lo + 1, hi - 1}, {(lo + hi) / 2, hi + 5}, {hi, hi}} {
+				for _, open := range []bool{false, true} {
+					i, j := r.window(w[0], w[1], open)
+					wi, wj := 0, 0
+					for k := 0; k < ref.n; k++ {
+						if tk := ref.at(k).T; tk < w[0] || (open && tk == w[0]) {
+							wi = k + 1
+						}
+						if ref.at(k).T <= w[1] {
+							wj = k + 1
+						}
+					}
+					if i != wi || j != max(wi, wj) {
+						t.Fatalf("cap %d push %d: window(%d, %d, %v) = [%d, %d), want [%d, %d)", c, p, w[0], w[1], open, i, j, wi, max(wi, wj))
+					}
+				}
+			}
+		}
 	}
 }

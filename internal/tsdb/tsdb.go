@@ -83,70 +83,78 @@ func (c *Config) fill() {
 	}
 }
 
-// ring is a circular buffer of samples that grows on demand up to max,
-// so a short run holds only what it sampled. Until it first fills, buf
-// holds the live samples oldest first and head is 0; after that head
-// indexes the oldest sample, which the next push overwrites. Pushes come
-// in time order, so the live samples are sorted by T.
+// blockSize is the number of samples in one ring block (4 KiB).
+const blockSize = 256
+
+// ring is a circular buffer of up to max samples, stored in fixed-size
+// blocks allocated as the ring fills, so a short run holds only the
+// blocks it sampled into and growing never copies. The last block holds
+// max's remainder when max is not a multiple of blockSize. Positions
+// 0..n-1 address the blocks in order; until the ring first fills, they
+// hold the live samples oldest first and head is 0. After that head is
+// the position of the oldest sample, which the next push overwrites in
+// place. Pushes come in time order, so the live samples are sorted by T.
 type ring struct {
-	buf  []Sample
-	head int
-	max  int
+	blocks [][]Sample
+	n      int // live samples
+	head   int
+	max    int
 }
 
 func (r *ring) push(s Sample) {
-	if len(r.buf) < r.max {
-		if len(r.buf) == cap(r.buf) {
-			grown := make([]Sample, len(r.buf), min(max(2*cap(r.buf), 16), r.max))
-			copy(grown, r.buf)
-			r.buf = grown
+	if r.n < r.max {
+		if r.n == len(r.blocks)*blockSize {
+			r.blocks = append(r.blocks, make([]Sample, min(blockSize, r.max-r.n)))
 		}
-		r.buf = append(r.buf, s)
+		r.blocks[r.n/blockSize][r.n%blockSize] = s
+		r.n++
 		return
 	}
-	r.buf[r.head] = s
-	if r.head++; r.head == len(r.buf) {
+	r.blocks[r.head/blockSize][r.head%blockSize] = s
+	if r.head++; r.head == r.n {
 		r.head = 0
 	}
 }
 
 // at returns the i-th live sample, oldest first.
 func (r *ring) at(i int) Sample {
-	if i += r.head; i >= len(r.buf) {
-		i -= len(r.buf)
+	if i += r.head; i >= r.n {
+		i -= r.n
 	}
-	return r.buf[i]
+	return r.blocks[i/blockSize][i%blockSize]
 }
 
 func (r *ring) oldest() (Sample, bool) {
-	if len(r.buf) == 0 {
+	if r.n == 0 {
 		return Sample{}, false
 	}
 	return r.at(0), true
 }
 
 func (r *ring) newest() (Sample, bool) {
-	if len(r.buf) == 0 {
+	if r.n == 0 {
 		return Sample{}, false
 	}
-	return r.at(len(r.buf) - 1), true
+	return r.at(r.n - 1), true
 }
 
-// all copies the live samples, oldest first.
-func (r *ring) all() []Sample {
-	out := make([]Sample, 0, len(r.buf))
-	return append(append(out, r.buf[r.head:]...), r.buf[:r.head]...)
+// appendRange appends the live samples i..j-1, oldest first, to out.
+func (r *ring) appendRange(out []Sample, i, j int) []Sample {
+	for ; i < j; i++ {
+		out = append(out, r.at(i))
+	}
+	return out
 }
 
 // window returns the positions [i, j) of the live samples stamped in
 // [from, to], or in (from, to] when open; both ends are binary searches
 // over the time-ordered ring.
 func (r *ring) window(from, to simulator.Time, open bool) (i, j int) {
-	i = sort.Search(len(r.buf), func(k int) bool {
+	i = sort.Search(r.n, func(k int) bool {
 		t := r.at(k).T
 		return t > from || (!open && t == from)
 	})
-	j = sort.Search(len(r.buf), func(k int) bool { return r.at(k).T > to })
+	j = sort.Search(r.n, func(k int) bool { return r.at(k).T > to })
 	return i, max(i, j)
 }
 
@@ -350,7 +358,8 @@ func (s *Store) Samples(name string, t Tier) ([]Sample, bool) {
 	if !ok || t < 0 || t >= numTiers {
 		return nil, false
 	}
-	return sr.tiers[t].all(), true
+	r := &sr.tiers[t]
+	return r.appendRange(make([]Sample, 0, r.n), 0, r.n), true
 }
 
 // Last returns the newest raw sample of a series.
@@ -402,10 +411,7 @@ func (s *Store) Query(name string, from, to, step simulator.Time) (out []Sample,
 	t := s.pickTier(sr, from, step)
 	r := &sr.tiers[t]
 	if i, j := r.window(from, to, false); j > i {
-		out = make([]Sample, 0, j-i)
-		for ; i < j; i++ {
-			out = append(out, r.at(i))
-		}
+		out = r.appendRange(make([]Sample, 0, j-i), i, j)
 	}
 	return out, s.TierStep(t), true
 }
