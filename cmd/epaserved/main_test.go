@@ -234,10 +234,14 @@ func TestKillRestartDurability(t *testing.T) {
 	mu.Unlock()
 	t.Logf("killed mid-stampede with %d accepted runs", len(final))
 
-	// Restart on the same journal. The recovery line must land.
+	// Restart on the same journal. The recovery line must land. The child
+	// logs it before printing ADDR, but its stderr reaches the buffer
+	// through exec's own copy goroutine, so wait for the line.
 	srv2 := startServer(t, dir)
-	if !strings.Contains(srv2.stderr.String(), "replayed") {
-		t.Fatalf("restarted server logged no recovery line:\n%s", srv2.stderr.String())
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(srv2.stderr.String(), "replayed"); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted server logged no recovery line:\n%s", srv2.stderr.String())
+		}
 	}
 
 	// Zero accepted-then-lost: every acknowledged run must exist, reach a

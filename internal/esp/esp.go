@@ -126,17 +126,6 @@ func (p *Provider) ActiveDR(t simulator.Time) (float64, bool) {
 	return 0, false
 }
 
-// CheapestSource returns the effective price per kWh at t and whether the
-// turbine is the cheaper source for the next increment of load, given
-// current turbine loading turbineW.
-func (p *Provider) CheapestSource(t simulator.Time, turbineW float64) (price float64, useTurbine bool) {
-	grid := p.Tariff.PriceAt(t)
-	if p.TurbineCapW > 0 && turbineW < p.TurbineCapW && p.TurbineCostPerKWh < grid {
-		return p.TurbineCostPerKWh, true
-	}
-	return grid, false
-}
-
 // CostMeter integrates energy cost over piecewise-constant power segments.
 type CostMeter struct {
 	Provider *Provider

@@ -74,26 +74,6 @@ func TestActiveDR(t *testing.T) {
 	}
 }
 
-func TestCheapestSource(t *testing.T) {
-	p := &Provider{
-		Tariff:            PeakTariff(0.08, 0.30),
-		TurbineCapW:       1000,
-		TurbineCostPerKWh: 0.15,
-	}
-	// Off-peak: grid is cheaper.
-	if price, turbine := p.CheapestSource(0, 0); turbine || price != 0.08 {
-		t.Errorf("off-peak source = %f turbine=%v", price, turbine)
-	}
-	// Peak: turbine wins while capacity remains.
-	if price, turbine := p.CheapestSource(10*simulator.Hour, 0); !turbine || price != 0.15 {
-		t.Errorf("peak source = %f turbine=%v", price, turbine)
-	}
-	// Turbine saturated: back to grid.
-	if _, turbine := p.CheapestSource(10*simulator.Hour, 1000); turbine {
-		t.Error("saturated turbine still chosen")
-	}
-}
-
 func TestCostMeterFlatTariff(t *testing.T) {
 	p := &Provider{Tariff: FlatTariff(0.10)}
 	cm := NewCostMeter(p)

@@ -15,8 +15,8 @@ import (
 // E20FairShare validates the "fairness" scheduling goal Q3(d) lists, with
 // the EPA twist of charging energy: a machine shared by one heavy user and
 // four light users. Without fairshare the heavy user's queue depth
-// monopolizes starts; with energy-charged fairshare the light users' waits
-// shrink and Jain's index over per-user completed work rises.
+// monopolizes starts; with energy-charged fairshare the light users' mean
+// bounded slowdown and median wait shrink, and the heavy user pays for it.
 func E20FairShare(seed uint64) Result {
 	horizon := 4 * simulator.Day
 

@@ -97,10 +97,10 @@ func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram is a bucketed distribution. Storage is per-bucket: counts[i]
 // is the number of observations in (bounds[i-1], bounds[i]] and the last
-// slot is the overflow bucket above the final bound. Cumulative returns
-// the Prometheus-style running form ("observations <= bound"), which is
-// what the JSON export's cum_counts field and the /metrics exposition
-// carry — mean and quantile estimates are recoverable from the export
+// slot is the overflow bucket above the final bound. The JSON export's
+// cum_counts field and the /metrics exposition each sum these into the
+// Prometheus-style running form ("observations <= bound") as they write
+// it — mean and quantile estimates are recoverable from the export
 // without the raw series.
 type Histogram struct {
 	bounds []float64
@@ -200,19 +200,6 @@ func bucketQuantile(bounds []float64, counts []int64, n int64, q float64) float6
 		return 0
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Cumulative returns the running bucket counts: out[i] is the number of
-// observations <= bounds[i], and the final slot equals Count(). This is
-// the form Prometheus exposition requires for _bucket series.
-func (h *Histogram) Cumulative() []int64 {
-	out := make([]int64, len(h.counts))
-	cum := int64(0)
-	for i, c := range h.counts {
-		cum += c
-		out[i] = cum
-	}
-	return out
 }
 
 // SyncHistogram is a histogram safe for concurrent observers — the
@@ -490,7 +477,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 				}
 				bw.str(strconv.FormatInt(c, 10))
 			}
-			// Cumulative form alongside the raw buckets: consumers recover
+			// The running form alongside the raw buckets: consumers recover
 			// the mean from sum/count and quantile estimates from
 			// cum_counts without the raw series.
 			bw.str(`], "cum_counts": [`)

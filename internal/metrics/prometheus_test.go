@@ -118,23 +118,6 @@ func trimFloat(v float64) string {
 	return b.String()
 }
 
-func TestHistogramCumulative(t *testing.T) {
-	h := NewHistogram(1, 2, 3)
-	for _, v := range []float64{0.5, 1.5, 1.7, 2.5, 9} {
-		h.Observe(v)
-	}
-	got := h.Cumulative()
-	want := []int64{1, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cumulative = %v, want %v", got, want)
-		}
-	}
-	if got[len(got)-1] != h.Count() {
-		t.Fatalf("last cumulative %d != count %d", got[len(got)-1], h.Count())
-	}
-}
-
 // TestWriteJSONCumulativeCounts pins the export shape the satellite fix
 // added: cum_counts rides alongside counts, sum, and count.
 func TestWriteJSONCumulativeCounts(t *testing.T) {

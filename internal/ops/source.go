@@ -23,9 +23,6 @@ type Health struct {
 	// and its age.
 	SchedulerLast int64 `json:"scheduler_last_s"`
 	SchedulerAge  int64 `json:"scheduler_age_s"`
-	// Phase names the control loop's current profiler phase ("idle"
-	// between slices); present only when a profiler is attached.
-	Phase string `json:"phase,omitempty"`
 	// Recovered marks a service-hosted run the journal re-admitted
 	// after a crash; always false outside the service tier.
 	Recovered bool `json:"recovered,omitempty"`
@@ -139,9 +136,6 @@ func ManagerHealth(m *core.Manager) Health {
 	if last, ok := m.Tel.LastGood(); ok {
 		h.TelemetryLast = int64(last.At)
 		h.TelemetryAge = int64(now - last.At)
-	}
-	if m.Prof != nil {
-		h.Phase = m.Prof.Current()
 	}
 	if m.Tel.Stale(now, 0) {
 		h.Status = "telemetry-stale"

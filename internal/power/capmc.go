@@ -14,8 +14,12 @@ import (
 // interface Cray ships on all XC systems (per the Trinity/LANL+Sandia and
 // KAUST survey rows) for reading power and setting system-wide and
 // node-level power caps without involving the jobs' in-band software.
-// Every actuation is recorded in an audit log, since production sites need
-// to reconstruct who capped what and when.
+// This model is the actuation side: node, group and system caps and node
+// power-off/on; power readings come from System and Telemetry.
+// Production sites need to reconstruct who capped what and when: with a
+// tracer attached every actuation, failure and abandonment is a
+// capmc.<action> instant on the power track, and the actuation counters
+// below count failures, retries and abandonments either way.
 type Controller struct {
 	Eng *simulator.Engine
 	Sys *System
@@ -30,8 +34,8 @@ type Controller struct {
 	// failure probability drawn from FaultRNG (both zero-valued by default:
 	// actuations never fail). A failed actuation is retried with capped
 	// exponential backoff in virtual time — RetryBase, doubling per
-	// attempt, capped at RetryMaxDelay, at most RetryMax retries — and
-	// every failure, retry and abandonment lands in the audit log.
+	// attempt, capped at RetryMaxDelay, at most RetryMax retries. Each
+	// failure and abandonment is a capmc.<action> trace instant.
 	FaultProb float64
 	FaultRNG  *simulator.RNG
 	// RetryMax <= 0 means the default (4); RetryBase/RetryMaxDelay <= 0
@@ -56,16 +60,6 @@ type Controller struct {
 	// Tr, when non-nil, receives an instant event per audited actuation on
 	// the power track. Nil (the default) costs one pointer check per audit.
 	Tr *trace.Tracer
-
-	Audit []AuditEntry
-}
-
-// AuditEntry records one out-of-band actuation.
-type AuditEntry struct {
-	At     simulator.Time
-	Action string
-	Target string
-	Value  float64
 }
 
 // NewController returns a control plane over sys.
@@ -80,33 +74,11 @@ func NewController(eng *simulator.Engine, sys *System) *Controller {
 }
 
 func (c *Controller) audit(action, target string, value float64) {
-	c.Audit = append(c.Audit, AuditEntry{At: c.Eng.Now(), Action: action, Target: target, Value: value})
 	if c.Tr != nil {
 		c.Tr.Instant(trace.PidPower, 0, "capmc."+action, c.Eng.Now(),
 			trace.Arg{Key: "target", Val: target}, trace.Arg{Key: "value", Val: value})
 	}
 }
-
-// GetNodeEnergy returns node id's accumulated energy counter in joules,
-// like CAPMC's get_node_energy_counter.
-func (c *Controller) GetNodeEnergy(id int) (float64, error) {
-	if id < 0 || id >= c.Sys.Cl.Size() {
-		return 0, fmt.Errorf("capmc: no node %d", id)
-	}
-	c.Sys.Advance(c.Eng.Now())
-	return c.Sys.nodeE[id], nil
-}
-
-// GetNodePower returns node id's instantaneous draw in watts.
-func (c *Controller) GetNodePower(id int) (float64, error) {
-	if id < 0 || id >= c.Sys.Cl.Size() {
-		return 0, fmt.Errorf("capmc: no node %d", id)
-	}
-	return c.Sys.NodePower(id), nil
-}
-
-// GetSystemPower returns the whole-machine instantaneous draw.
-func (c *Controller) GetSystemPower() float64 { return c.Sys.TotalPower() }
 
 // SetNodeCap applies a node-level power cap out-of-band. capW below the
 // node's off draw is rejected; capW = 0 removes the cap. An injected

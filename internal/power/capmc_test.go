@@ -1,11 +1,13 @@
 package power
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"epajsrm/internal/cluster"
 	"epajsrm/internal/simulator"
+	"epajsrm/internal/trace"
 )
 
 func newTestController() (*Controller, *simulator.Engine, *cluster.Cluster) {
@@ -15,8 +17,30 @@ func newTestController() (*Controller, *simulator.Engine, *cluster.Cluster) {
 	return NewController(eng, sys), eng, cl
 }
 
+// watchActuations attaches a streaming tracer to c and returns a function
+// that drains the capmc.<action> instants emitted since the last call, in
+// emission order (Tracer.Events would sort same-instant events by name).
+// The 64-event buffer holds more instants than any test here emits.
+func watchActuations(t *testing.T, c *Controller) func() []string {
+	c.Tr = trace.NewStreaming()
+	ch, cancel := c.Tr.Subscribe(64)
+	t.Cleanup(cancel)
+	return func() []string {
+		var names []string
+		for {
+			select {
+			case e := <-ch:
+				names = append(names, e.Name)
+			default:
+				return names
+			}
+		}
+	}
+}
+
 func TestControllerNodeCapValidation(t *testing.T) {
 	c, _, _ := newTestController()
+	actions := watchActuations(t, c)
 	if err := c.SetNodeCap(-1, 200); err == nil {
 		t.Error("bad node id accepted")
 	}
@@ -29,8 +53,8 @@ func TestControllerNodeCapValidation(t *testing.T) {
 	if err := c.SetNodeCap(0, 250); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Audit) != 1 || c.Audit[0].Action != "set_node_cap" {
-		t.Fatalf("audit = %+v", c.Audit)
+	if got := actions(); !slices.Equal(got, []string{"capmc.set_node_cap"}) {
+		t.Fatalf("actuations = %v, want one set_node_cap", got)
 	}
 }
 
@@ -101,58 +125,6 @@ func TestControllerPowerOffOn(t *testing.T) {
 	// Boot delay must have elapsed between off and idle.
 	if eng.Now() < cl.Cfg.BootDelay {
 		t.Fatalf("engine time %d < boot delay", eng.Now())
-	}
-}
-
-func TestControllerEnergyCounter(t *testing.T) {
-	c, eng, _ := newTestController()
-	eng.After(100, "tick", func(simulator.Time) {})
-	eng.Run()
-	e, err := c.GetNodeEnergy(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c.Sys.Model.IdleW * 100
-	if e != want {
-		t.Fatalf("energy = %f, want %f", e, want)
-	}
-	if _, err := c.GetNodeEnergy(1000); err == nil {
-		t.Error("bad id accepted")
-	}
-}
-
-func TestRaplSplitAndNodeCap(t *testing.T) {
-	r := NewRapl(2)
-	if r.NodeCap() != 0 {
-		t.Fatal("fresh RAPL should be uncapped")
-	}
-	r.SplitNodeCap(300)
-	if got := r.NodeCap(); got < 299.999 || got > 300.001 {
-		t.Fatalf("round-trip node cap = %f", got)
-	}
-	// 80/20 pkg/dram split per socket.
-	if r.PkgCapW[0] != 120 || r.DramCapW[0] != 30 {
-		t.Fatalf("socket split = %f/%f", r.PkgCapW[0], r.DramCapW[0])
-	}
-	r.SplitNodeCap(0)
-	if r.NodeCap() != 0 {
-		t.Fatal("clearing failed")
-	}
-}
-
-func TestRaplSocketValidation(t *testing.T) {
-	r := NewRapl(2)
-	if err := r.SetPkgCap(5, 100); err == nil {
-		t.Error("bad socket accepted")
-	}
-	if err := r.SetDramCap(0, -1); err == nil {
-		t.Error("negative cap accepted")
-	}
-	if err := r.SetPkgCap(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.NodeCap(); got != 100 {
-		t.Fatalf("node cap with one capped socket = %f", got)
 	}
 }
 
@@ -242,6 +214,7 @@ func TestDivideSystemCapConservesBudget(t *testing.T) {
 
 func TestControllerActuationRetrySucceeds(t *testing.T) {
 	c, eng, cl := newTestController()
+	actions := watchActuations(t, c)
 	// Fail the first two attempts, then heal.
 	c.FaultRNG = simulator.NewRNG(1)
 	c.FaultProb = 1
@@ -259,19 +232,16 @@ func TestControllerActuationRetrySucceeds(t *testing.T) {
 	if c.ActuationFailures.Value() != 1 || c.ActuationRetries.Value() != 1 || c.ActuationAbandoned.Value() != 0 {
 		t.Fatalf("counters = %d/%d/%d", c.ActuationFailures.Value(), c.ActuationRetries.Value(), c.ActuationAbandoned.Value())
 	}
-	// Audit trail: fail, then the successful set.
-	var actions []string
-	for _, a := range c.Audit {
-		actions = append(actions, a.Action)
-	}
-	want := []string{"set_node_cap.fail", "set_node_cap"}
-	if len(actions) != 2 || actions[0] != want[0] || actions[1] != want[1] {
-		t.Fatalf("audit actions = %v, want %v", actions, want)
+	// Trace instants: fail, then the successful set.
+	want := []string{"capmc.set_node_cap.fail", "capmc.set_node_cap"}
+	if got := actions(); !slices.Equal(got, want) {
+		t.Fatalf("actuations = %v, want %v", got, want)
 	}
 }
 
 func TestControllerActuationAbandonsAfterRetryMax(t *testing.T) {
 	c, eng, cl := newTestController()
+	actions := watchActuations(t, c)
 	c.FaultRNG = simulator.NewRNG(2)
 	c.FaultProb = 1 // every attempt fails
 	c.RetryMax = 3
@@ -286,9 +256,12 @@ func TestControllerActuationAbandonsAfterRetryMax(t *testing.T) {
 	if c.ActuationFailures.Value() != 4 || c.ActuationRetries.Value() != 3 || c.ActuationAbandoned.Value() != 1 {
 		t.Fatalf("counters = %d/%d/%d", c.ActuationFailures.Value(), c.ActuationRetries.Value(), c.ActuationAbandoned.Value())
 	}
-	last := c.Audit[len(c.Audit)-1]
-	if last.Action != "set_node_cap.abandon" {
-		t.Fatalf("last audit action = %s", last.Action)
+	// The abandon instant follows the last failure at the same virtual
+	// time.
+	fail := "capmc.set_node_cap.fail"
+	want := []string{fail, fail, fail, fail, "capmc.set_node_cap.abandon"}
+	if got := actions(); !slices.Equal(got, want) {
+		t.Fatalf("actuations = %v, want %v", got, want)
 	}
 }
 

@@ -101,9 +101,3 @@ func (f *Facility) ITBudget(t simulator.Time) float64 {
 	}
 	return limit
 }
-
-// OverBudget reports whether itW of IT draw violates the facility limits
-// at time t.
-func (f *Facility) OverBudget(t simulator.Time, itW float64) bool {
-	return itW > f.ITBudget(t)
-}

@@ -1,104 +1,9 @@
 package power
 
-import "fmt"
-
-// Rapl models Intel's Running Average Power Limit at the socket level: a
-// software-configurable, hardware-enforced budget per package domain with a
-// time window over which the *average* power must not exceed the limit
-// (David et al. [13]). The simulator's node-level caps are derived from the
-// socket budgets; the window semantics matter for enforcement checking in
-// tests and for the dynamic power-sharing policy, which reassigns budgets
-// between sockets/nodes at runtime (Ellsworth et al. [17]).
-type Rapl struct {
-	Sockets   int
-	PkgCapW   []float64 // per-socket package cap; 0 = uncapped
-	DramCapW  []float64 // per-socket DRAM cap; 0 = uncapped
-	WindowSec float64   // averaging window (typically 0.001–1 s; we use seconds)
-}
-
-// NewRapl returns an uncapped RAPL block for a node with the given socket
-// count and a 1-second window.
-func NewRapl(sockets int) *Rapl {
-	if sockets <= 0 {
-		sockets = 1
-	}
-	return &Rapl{
-		Sockets:   sockets,
-		PkgCapW:   make([]float64, sockets),
-		DramCapW:  make([]float64, sockets),
-		WindowSec: 1,
-	}
-}
-
-// SetPkgCap sets one socket's package cap.
-func (r *Rapl) SetPkgCap(socket int, capW float64) error {
-	if socket < 0 || socket >= r.Sockets {
-		return fmt.Errorf("rapl: no socket %d", socket)
-	}
-	if capW < 0 {
-		return fmt.Errorf("rapl: negative cap")
-	}
-	r.PkgCapW[socket] = capW
-	return nil
-}
-
-// SetDramCap sets one socket's DRAM-domain cap.
-func (r *Rapl) SetDramCap(socket int, capW float64) error {
-	if socket < 0 || socket >= r.Sockets {
-		return fmt.Errorf("rapl: no socket %d", socket)
-	}
-	if capW < 0 {
-		return fmt.Errorf("rapl: negative cap")
-	}
-	r.DramCapW[socket] = capW
-	return nil
-}
-
-// NodeCap returns the effective node-level cap implied by the socket
-// domains: the sum of all finite domain caps, or 0 if every domain is
-// uncapped. A node with any capped socket is treated as capped at
-// (capped sockets' caps + uncapped sockets' fair share of nothing) — in
-// practice sites cap all sockets together, which is the case the survey
-// describes (KAUST's 270 W node caps).
-func (r *Rapl) NodeCap() float64 {
-	anyCapped := false
-	total := 0.0
-	for i := 0; i < r.Sockets; i++ {
-		pkg := r.PkgCapW[i]
-		dram := r.DramCapW[i]
-		if pkg == 0 && dram == 0 {
-			continue
-		}
-		anyCapped = true
-		total += pkg + dram
-	}
-	if !anyCapped {
-		return 0
-	}
-	return total
-}
-
-// SplitNodeCap divides a node-level cap evenly into per-socket package caps
-// with 20 % carved out for the DRAM domains, the conventional split when a
-// scheduler only reasons at node granularity.
-func (r *Rapl) SplitNodeCap(nodeCapW float64) {
-	if nodeCapW <= 0 {
-		for i := range r.PkgCapW {
-			r.PkgCapW[i] = 0
-			r.DramCapW[i] = 0
-		}
-		return
-	}
-	perSocket := nodeCapW / float64(r.Sockets)
-	for i := range r.PkgCapW {
-		r.PkgCapW[i] = perSocket * 0.8
-		r.DramCapW[i] = perSocket * 0.2
-	}
-}
-
-// WindowMeter checks RAPL's defining property — the cap binds the *average*
-// over the window, not the instant. Feed it (power, duration) segments and
-// query Violated.
+// WindowMeter checks the defining property of Intel's Running Average Power
+// Limit (RAPL, David et al. [13]) — the cap binds the *average* over the
+// window, not the instant. Feed it (power, duration) segments and query
+// Violated.
 type WindowMeter struct {
 	CapW      float64
 	WindowSec float64

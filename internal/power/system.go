@@ -467,18 +467,6 @@ func (s *System) JobFrac(jobID int64) float64 {
 	return frac
 }
 
-// NodeFracs returns per-node effective frequency fractions for a job,
-// keyed by node ID (used by the GEOPM-style runtime-balance policy).
-func (s *System) NodeFracs(jobID int64) map[int]float64 {
-	out := map[int]float64{}
-	for _, id := range s.jobNodes[jobID] {
-		if ld := s.loads[id]; ld != nil && ld.JobID == jobID {
-			out[int(id)] = s.effectiveFrac(s.Cl.Nodes[id], ld)
-		}
-	}
-	return out
-}
-
 // NodePower returns node id's current draw in watts.
 func (s *System) NodePower(id int) float64 { return s.nodeP[id] }
 

@@ -187,16 +187,3 @@ func (t *Telemetry) record(r Reading) {
 		t.Series = kept
 	}
 }
-
-// MeasureSegment implements a PowerAPI-style scoped measurement: it returns
-// a closure that, when called, reports the energy in joules consumed by the
-// whole system between the two calls. STFC's research row describes exactly
-// this programmable interface for application code segments.
-func (t *Telemetry) MeasureSegment(now simulator.Time) func(end simulator.Time) float64 {
-	t.Sys.Advance(now)
-	startE := t.Sys.TotalEnergy()
-	return func(end simulator.Time) float64 {
-		t.Sys.Advance(end)
-		return t.Sys.TotalEnergy() - startE
-	}
-}

@@ -133,19 +133,6 @@ func (p *Profiler) Exit() {
 	p.t0 = now
 }
 
-// Current names the innermost open phase, "idle" when the stack is
-// empty, and "off" on a nil profiler — the string the per-run
-// /healthz detail reports.
-func (p *Profiler) Current() string {
-	if p == nil {
-		return "off"
-	}
-	if n := len(p.stack); n > 0 {
-		return p.stack[n-1].Name()
-	}
-	return "idle"
-}
-
 // TotalSeconds is the sum of all phase wall time.
 func (p *Profiler) TotalSeconds() float64 {
 	if p == nil {

@@ -21,9 +21,6 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	var p *Profiler
 	p.Enter(SchedPass)
 	p.Exit()
-	if got := p.Current(); got != "off" {
-		t.Fatalf("nil Current() = %q, want off", got)
-	}
 	if p.TotalSeconds() != 0 {
 		t.Fatalf("nil TotalSeconds() = %v, want 0", p.TotalSeconds())
 	}
@@ -44,26 +41,6 @@ func TestUnmatchedExitIgnored(t *testing.T) {
 	p.Exit()
 	if got := p.calls[Jobs]; got != 1 {
 		t.Fatalf("jobs calls = %d, want 1", got)
-	}
-}
-
-func TestCurrentNamesInnermostPhase(t *testing.T) {
-	p := New()
-	if got := p.Current(); got != "idle" {
-		t.Fatalf("empty Current() = %q, want idle", got)
-	}
-	p.Enter(Events)
-	p.Enter(SchedPass)
-	if got := p.Current(); got != "sched_pass" {
-		t.Fatalf("Current() = %q, want sched_pass", got)
-	}
-	p.Exit()
-	if got := p.Current(); got != "events" {
-		t.Fatalf("Current() = %q, want events", got)
-	}
-	p.Exit()
-	if got := p.Current(); got != "idle" {
-		t.Fatalf("Current() = %q, want idle", got)
 	}
 }
 

@@ -733,9 +733,9 @@ func (s *Service) runSim(r *Run) (err error) {
 	tr := trace.NewStreaming()
 	m.AttachTracer(tr)
 	// Every hosted run carries a phase profiler: its gauges ride the
-	// run's /metrics plane and its current phase the run's /healthz.
-	// The profiler only observes — runreport never reads the registry —
-	// so the report stays byte-identical to standalone epasim.
+	// run's /metrics plane. The profiler only observes — runreport never
+	// reads the registry — so the report stays byte-identical to
+	// standalone epasim.
 	m.AttachProfiler(ctlprof.New())
 	// Every hosted run also carries a metric history, so tenants can
 	// range-query their run's series (/runs/{id}/query). The sampler is

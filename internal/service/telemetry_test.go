@@ -198,41 +198,6 @@ func TestLatencyHistogramsAndInFlightOnMetrics(t *testing.T) {
 	}
 }
 
-func TestPerRunHealthzCarriesPhase(t *testing.T) {
-	s := mustNew(t, testConfig())
-	defer s.Shutdown(nil) //nolint:errcheck
-	h := s.Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/runs",
-		strings.NewReader(`{"tenant":"acme","site":"cineca","seed":3,"jobs":5,"days":1}`)))
-	var acc struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	waitState(t, s, acc.ID, StateComplete)
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/runs/"+acc.ID+"/healthz", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/healthz: %d %s", rec.Code, rec.Body.String())
-	}
-	var health struct {
-		Status string `json:"status"`
-		Phase  string `json:"phase"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-		t.Fatalf("healthz body: %v", err)
-	}
-	// The executor is between slices (finished, in fact): the profiler
-	// is attached and idle.
-	if health.Phase != "idle" {
-		t.Fatalf("phase = %q, want idle on a finished run", health.Phase)
-	}
-}
-
 func TestJournalFsyncHistogramAndReqThreading(t *testing.T) {
 	dir := t.TempDir()
 	fr := flight.New(64)

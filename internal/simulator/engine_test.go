@@ -262,16 +262,6 @@ func TestRNGNormalMoments(t *testing.T) {
 	}
 }
 
-func TestRNGParetoBounds(t *testing.T) {
-	r := NewRNG(19)
-	for i := 0; i < 5000; i++ {
-		v := r.Pareto(1.5, 10, 1000)
-		if v < 10 || v > 1000 {
-			t.Fatalf("Pareto out of bounds: %f", v)
-		}
-	}
-}
-
 func TestRNGChoiceWeights(t *testing.T) {
 	r := NewRNG(23)
 	counts := [3]int{}

@@ -74,25 +74,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Pareto returns a bounded Pareto sample in [lo, hi] with shape alpha,
-// useful for heavy-tailed job runtimes.
-func (r *RNG) Pareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo {
-		return lo
-	}
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-	if x < lo {
-		x = lo
-	}
-	if x > hi {
-		x = hi
-	}
-	return x
-}
-
 // Choice returns a random index weighted by the non-negative weights. If all
 // weights are zero it returns a uniform index.
 func (r *RNG) Choice(weights []float64) int {

@@ -186,78 +186,6 @@ func (o *Online) Variance() float64 {
 // Stddev returns the running sample standard deviation.
 func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
 
-// Histogram is a fixed-width histogram over [Lo, Hi) with out-of-range
-// observations clamped into the edge buckets.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	total   int64
-}
-
-// NewHistogram builds a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Buckets)
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(n))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Mode returns the midpoint of the most populated bucket.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Buckets {
-		if c > h.Buckets[best] {
-			best = i
-		}
-	}
-	return h.BucketMid(best)
-}
-
-// JainIndex returns Jain's fairness index over the allocations xs:
-// (sum x)^2 / (n * sum x^2), which is 1 for perfectly equal shares and
-// 1/n when one party gets everything. Used to score the fairshare
-// scheduling goal (survey Q3(d)).
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	sum, sumSq := 0.0, 0.0
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // MAPE returns the mean absolute percentage error between predictions and
 // actuals, skipping pairs whose actual value is zero. It returns 0 when no
 // valid pairs exist. Used to score the power predictors (E8).

@@ -139,41 +139,6 @@ func TestOnlineMatchesSample(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	for i, c := range h.Buckets {
-		if c != 10 {
-			t.Fatalf("bucket %d count = %d, want 10", i, c)
-		}
-	}
-	if h.Total() != 100 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramClampsOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-100)
-	h.Add(1000)
-	if h.Buckets[0] != 1 || h.Buckets[4] != 1 {
-		t.Fatalf("edge buckets = %v", h.Buckets)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(7.2)
-	}
-	h.Add(1.1)
-	if got := h.Mode(); got != 7.5 {
-		t.Fatalf("mode = %f, want 7.5 (mid of bucket 7)", got)
-	}
-}
-
 func TestMAPE(t *testing.T) {
 	pred := []float64{110, 90, 100}
 	actual := []float64{100, 100, 100}
@@ -198,23 +163,4 @@ func TestMAPEPanicsOnLengthMismatch(t *testing.T) {
 		}
 	}()
 	MAPE([]float64{1}, []float64{1, 2})
-}
-
-func TestJainIndex(t *testing.T) {
-	if got := JainIndex([]float64{1, 1, 1, 1}); got != 1 {
-		t.Fatalf("equal shares index = %f", got)
-	}
-	if got := JainIndex([]float64{1, 0, 0, 0}); got != 0.25 {
-		t.Fatalf("monopoly index = %f, want 1/n", got)
-	}
-	if got := JainIndex(nil); got != 1 {
-		t.Fatalf("empty index = %f", got)
-	}
-	if got := JainIndex([]float64{0, 0}); got != 1 {
-		t.Fatalf("all-zero index = %f", got)
-	}
-	// More equal is higher.
-	if JainIndex([]float64{3, 1}) <= JainIndex([]float64{4, 0.1}) {
-		t.Fatal("index ordering wrong")
-	}
 }

@@ -48,15 +48,6 @@ var capabilityNames = [...]string{
 
 func (c Capability) String() string { return capabilityNames[c] }
 
-// AllCapabilities enumerates the taxonomy.
-func AllCapabilities() []Capability {
-	out := make([]Capability, capCount)
-	for i := range out {
-		out[i] = Capability(i)
-	}
-	return out
-}
-
 // Activity is one cell entry in Table I/II: a described effort at a center
 // at a given maturity, labelled with the capabilities it exercises.
 type Activity struct {

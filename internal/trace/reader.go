@@ -14,8 +14,8 @@ package trace
 // without '.', 'e', or 'E' to int64 and everything else to float64. An
 // arg emitted as a Go int (or simulator.Time) therefore reads back as
 // int64, and a float64 holding an integral value reads back as int64 too —
-// the formats do not distinguish them. ArgInt/ArgFloat on Event absorb
-// that for consumers.
+// the formats do not distinguish them. ArgFloat on Event absorbs that for
+// consumers.
 
 import (
 	"bufio"
@@ -128,28 +128,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		}
 		events = append(events, ev)
 	}
-}
-
-// ArgInt returns the named arg as an int64 (converting a float form) and
-// whether it was present.
-func (e *Event) ArgInt(key string) (int64, bool) {
-	for _, a := range e.Args {
-		if a.Key != key {
-			continue
-		}
-		switch v := a.Val.(type) {
-		case int64:
-			return v, true
-		case int:
-			return int64(v), true
-		case simulator.Time:
-			return int64(v), true
-		case float64:
-			return int64(v), true
-		}
-		return 0, false
-	}
-	return 0, false
 }
 
 // ArgFloat returns the named arg as a float64 (converting an integer form)
