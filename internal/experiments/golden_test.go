@@ -27,18 +27,27 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files fro
 // hierarchy moved from a dedicated collector to registry gauges sampled
 // by tsdb), so a data-structure change that shifts event order or float
 // accumulation order fails loudly rather than silently re-baselining.
+// E4, E12, E21 and E22 are also pinned at seed 1, recorded before
+// Conservative's early stop, the power.System frequency/draw cache and
+// in-place finish-event retiming: E21's seed-1 render is the one a retime
+// that skips unchanged jobs is known to change.
 var goldenCases = []struct {
 	file string
+	seed uint64
 	mk   func(uint64) Result
 }{
-	{"e4_seed2.golden", E4PowerSharing},
-	{"e6_seed2.golden", E6Emergency},
-	{"e12_seed2.golden", E12Backfill},
-	{"e13_seed2.golden", E13GridAware},
-	{"e19_seed2.golden", E19Monitoring},
-	{"e21_seed2.golden", E21Resilience},
-	{"e22_seed2.golden", E22CheckpointSweep},
-	{"e24_seed2.golden", E24SLOWatchdog},
+	{"e4_seed2.golden", 2, E4PowerSharing},
+	{"e6_seed2.golden", 2, E6Emergency},
+	{"e12_seed2.golden", 2, E12Backfill},
+	{"e13_seed2.golden", 2, E13GridAware},
+	{"e19_seed2.golden", 2, E19Monitoring},
+	{"e21_seed2.golden", 2, E21Resilience},
+	{"e22_seed2.golden", 2, E22CheckpointSweep},
+	{"e24_seed2.golden", 2, E24SLOWatchdog},
+	{"e4_seed1.golden", 1, E4PowerSharing},
+	{"e12_seed1.golden", 1, E12Backfill},
+	{"e21_seed1.golden", 1, E21Resilience},
+	{"e22_seed1.golden", 1, E22CheckpointSweep},
 }
 
 func TestGoldenReportsByteIdentical(t *testing.T) {
@@ -48,7 +57,7 @@ func TestGoldenReportsByteIdentical(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runner.SetProcs(procs)
 		for _, tc := range goldenCases {
-			got := tc.mk(2).Render()
+			got := tc.mk(tc.seed).Render()
 			path := filepath.Join("testdata", tc.file)
 			if *updateGolden && procs == 1 {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
