@@ -37,6 +37,7 @@ type running struct {
 	// power but makes zero compute progress.
 	phase     runPhase
 	ioActive  bool             // a Begin on m.Ckpt awaits its EndIO
+	killArmed bool             // finish is a walltime-kill, not a job-finish
 	ioDone    simulator.Handle // pending checkpoint I/O completion
 	ioWork    float64          // WorkDone snapshot the in-flight write captures
 	ckptTimer simulator.Handle // pending periodic-checkpoint trigger
@@ -592,9 +593,10 @@ func (m *Manager) startJob(j *jobs.Job, now simulator.Time) bool {
 }
 
 // scheduleFinish (re)arms the completion event based on remaining work and
-// the job's current effective frequency.
+// the job's current effective frequency. A pending event of the same kind
+// moves in place; it takes the sequence number Cancel and After would give
+// a new one, so same-second events keep their order.
 func (m *Manager) scheduleFinish(r *running, now simulator.Time) {
-	r.finish.Cancel()
 	frac := m.Pw.JobFrac(r.job.ID)
 	m.setFrac(r, frac)
 	r.lastSync = now
@@ -608,14 +610,22 @@ func (m *Manager) scheduleFinish(r *running, now simulator.Time) {
 		dur = 1
 	}
 	end := now + dur
+	kill := false
 	if m.EnforceWalltime {
-		wallEnd := r.job.Start + r.job.Walltime
-		if wallEnd < end {
-			r.finish = m.Eng.After(wallEnd-now, "walltime-kill", func(t simulator.Time) {
-				m.KillJob(r.job.ID, "walltime exceeded", t)
-			})
-			return
+		if wallEnd := r.job.Start + r.job.Walltime; wallEnd < end {
+			end, kill = max(wallEnd, now), true
 		}
+	}
+	if kill == r.killArmed && m.Eng.Reschedule(r.finish, end) {
+		return
+	}
+	r.finish.Cancel()
+	r.killArmed = kill
+	if kill {
+		r.finish = m.Eng.After(end-now, "walltime-kill", func(t simulator.Time) {
+			m.KillJob(r.job.ID, "walltime exceeded", t)
+		})
+		return
 	}
 	r.finish = m.Eng.After(end-now, "job-finish", func(t simulator.Time) {
 		m.finishJob(r.job.ID, t)

@@ -28,6 +28,13 @@ type DynamicPowerSharing struct {
 
 	m           *core.Manager
 	rebalancing bool
+	busy        []busyNode // rebalance's scratch, kept across calls
+}
+
+// busyNode is a busy node and the uncapped draw its workload wants.
+type busyNode struct {
+	n      *cluster.Node
+	demand float64
 }
 
 // Name implements core.Policy.
@@ -71,11 +78,7 @@ func (p *DynamicPowerSharing) rebalance(now simulator.Time) {
 	p.Rebalances++
 	model := m.Pw.Model
 
-	type busyNode struct {
-		n      *cluster.Node
-		demand float64 // uncapped draw the node's workload wants
-	}
-	var busy []busyNode
+	busy := p.busy[:0]
 	guaranteed := 0.0
 	for _, n := range m.Cl.Nodes {
 		switch n.State {
@@ -91,6 +94,7 @@ func (p *DynamicPowerSharing) rebalance(now simulator.Time) {
 			guaranteed += model.IdleW
 		}
 	}
+	p.busy = busy
 	spare := p.BudgetW - guaranteed
 	if spare < 0 {
 		spare = 0

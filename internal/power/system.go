@@ -63,6 +63,16 @@ type System struct {
 	vf    []float64 // manufacturing variability factor per node
 	loads []*Load   // per node; nil when the node runs nothing
 
+	// frac and busyW hold, for each node with a load, the frequency
+	// fraction it runs at (effectiveFrac) and its compute draw there
+	// (BusyPower, without AuxW). Their inputs are the load's NominalW and
+	// FreqFrac, the node's cap and its variability factor, so only
+	// StartJob, SetJobFreq and a SetNodeCap that changes the cap re-derive
+	// them; draw refreshes and JobFrac read them. They live here rather
+	// than in Load, which every job start allocates once per node.
+	frac  []float64
+	busyW []float64
+
 	lastT simulator.Time
 	nodeP []float64
 	// totalW is the running sum of nodeP, maintained incrementally so that
@@ -133,6 +143,8 @@ func NewSystem(cl *cluster.Cluster, model NodeModel, pstates PStateTable, varSig
 		PStates:  pstates,
 		vf:       make([]float64, cl.Size()),
 		loads:    make([]*Load, cl.Size()),
+		frac:     make([]float64, cl.Size()),
+		busyW:    make([]float64, cl.Size()),
 		nodeP:    make([]float64, cl.Size()),
 		nodeE:    make([]float64, cl.Size()),
 		jobE:     make(map[int64]*JobMeter),
@@ -258,6 +270,14 @@ func (s *System) effectiveFrac(n *cluster.Node, ld *Load) float64 {
 	return frac
 }
 
+// derive recomputes node id's cached frequency fraction and compute draw
+// from its load, cap and variability factor; the node must have a load.
+func (s *System) derive(id int) {
+	f := s.effectiveFrac(s.Cl.Nodes[id], s.loads[id])
+	s.frac[id] = f
+	s.busyW[id] = s.Model.BusyPower(s.loads[id].NominalW, f, s.vf[id])
+}
+
 func (s *System) computeNodePower(n *cluster.Node) float64 {
 	switch n.State {
 	case cluster.StateOff, cluster.StateDown:
@@ -271,7 +291,7 @@ func (s *System) computeNodePower(n *cluster.Node) float64 {
 		if ld == nil {
 			return s.Model.IdleW
 		}
-		return s.Model.BusyPower(ld.NominalW, s.effectiveFrac(n, ld), s.vf[n.ID]) + ld.AuxW
+		return s.busyW[n.ID] + ld.AuxW
 	default:
 		return s.Model.IdleW
 	}
@@ -372,6 +392,7 @@ func (s *System) StartJob(now simulator.Time, jobID int64, nodes []*cluster.Node
 		meter.adjust(s.nodeP[n.ID])
 		slab[i] = Load{JobID: jobID, NominalW: nominalW, MemFrac: memFrac, FreqFrac: freqFrac, meter: meter}
 		s.loads[n.ID] = &slab[i]
+		s.derive(n.ID)
 		s.setNodeP(n.ID, s.computeNodePower(n))
 		ids = append(ids, int32(n.ID))
 	}
@@ -412,7 +433,12 @@ func (s *System) EndJob(now simulator.Time, jobID int64, nodes []*cluster.Node) 
 // affected job finish times via JobFrac.
 func (s *System) SetNodeCap(now simulator.Time, n *cluster.Node, capW float64) {
 	s.Advance(now)
-	n.CapW = capW
+	if capW != n.CapW {
+		n.CapW = capW
+		if s.loads[n.ID] != nil {
+			s.derive(n.ID)
+		}
+	}
 	s.setNodeP(n.ID, s.computeNodePower(n))
 	s.trackPeak(now)
 }
@@ -438,6 +464,7 @@ func (s *System) SetJobFreq(now simulator.Time, jobID int64, freqFrac float64) {
 	for _, id := range s.jobNodes[jobID] {
 		if ld := s.loads[id]; ld != nil && ld.JobID == jobID {
 			ld.FreqFrac = freqFrac
+			s.derive(int(id))
 			s.setNodeP(int(id), s.computeNodePower(s.Cl.Nodes[id]))
 		}
 	}
@@ -456,8 +483,7 @@ func (s *System) JobFrac(jobID int64) float64 {
 			continue
 		}
 		found = true
-		f := s.effectiveFrac(s.Cl.Nodes[id], ld)
-		if f < frac {
+		if f := s.frac[id]; f < frac {
 			frac = f
 		}
 	}

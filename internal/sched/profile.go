@@ -8,8 +8,7 @@ import (
 
 // Profile is a node-availability timeline: a step function from time to the
 // number of nodes in use, over a fixed capacity. Conservative backfilling
-// plans every queued job against it; the power-aware planners reuse it to
-// fit jobs under joint node+power envelopes.
+// plans the queue against it.
 type Profile struct {
 	Capacity int
 	start    simulator.Time
@@ -40,6 +39,9 @@ func (p *Profile) Reset(start simulator.Time, capacity int) {
 	p.times = append(p.times[:0], start)
 	p.used = append(p.used[:0], 0)
 }
+
+// freeAtStart returns the nodes free in the profile's first step.
+func (p *Profile) freeAtStart() int { return p.Capacity - p.used[0] }
 
 // UsedAt returns the usage in effect at time t (t before the profile start
 // reports the initial usage).
@@ -104,11 +106,14 @@ func (p *Profile) EarliestFit(n int, d simulator.Time) simulator.Time {
 		if p.Capacity-p.used[i] < n {
 			continue
 		}
-		// Check the window [t, t+d) across subsequent steps.
+		// Check the window [t, t+d) across subsequent steps. A step k that
+		// blocks it lies inside the window of every start from t to
+		// times[k] as well, so the scan resumes after k.
 		ok := true
 		for k := i + 1; k < len(p.times) && p.times[k] < t+d; k++ {
 			if p.Capacity-p.used[k] < n {
 				ok = false
+				i = k
 				break
 			}
 		}

@@ -17,7 +17,8 @@ import "sort"
 // shard — so the popped head is the global (At, seq) minimum, not a
 // per-shard approximation. Cancelled events stay queued and are popped
 // dead in the same total order, matching the heap engine's lazy-discard
-// behavior byte for byte.
+// behavior byte for byte. An event the engine reschedules is removed from
+// its shard and pushed again with its new (At, seq).
 type calQueue struct {
 	shards [][]*Event
 	mask   Time // len(shards)-1; len is a power of two
@@ -163,6 +164,29 @@ func (q *calQueue) pop() *Event {
 		q.shrink()
 	}
 	return e
+}
+
+// remove takes a queued event out of the queue wherever it sits, for the
+// engine to push it again at a new (At, seq).
+func (q *calQueue) remove(e *Event) {
+	if q.head == e {
+		q.head = nil
+		if q.solo {
+			q.solo = false
+			q.size = 0
+			return
+		}
+	}
+	b := e.At & q.mask
+	s := q.shards[b]
+	i := sort.Search(len(s), func(i int) bool { return !eventLess(s[i], e) })
+	if i == len(s) || s[i] != e {
+		panic("simulator: removing an event that is not queued")
+	}
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = nil
+	q.shards[b] = s[:len(s)-1]
+	q.size--
 }
 
 // grow doubles the ring. An old shard splits into exactly two new shards

@@ -3,6 +3,7 @@ package simulator
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -21,8 +22,10 @@ func (h *refHeap) pushEv(e *Event)   { heap.Push(h, e) }
 
 // storm drives a calQueue and the reference heap through an identical
 // randomized op sequence — inserts (with heavy same-timestamp bursts),
-// pops, cancels, and reschedules (cancel + re-insert at a new time, the way
-// Every's ticks move) — asserting every pop agrees on (At, seq, dead).
+// pops, cancels, reschedules (cancel + re-insert at a new time, the way
+// Every's ticks move) and in-place moves (remove + push with a new
+// (At, seq), the way Engine.Reschedule moves a finish event; the heap
+// re-sifts its twin) — asserting every pop agrees on (At, seq, dead).
 func storm(t *testing.T, seed uint64, ops int, farFrac float64) {
 	t.Helper()
 	rng := NewRNG(seed)
@@ -31,6 +34,7 @@ func storm(t *testing.T, seed uint64, ops int, farFrac float64) {
 	var livePtrs []*Event // events queued in both, for cancel/reschedule picks
 	var seq int64
 	now := Time(0)
+	moved := 0
 
 	push := func(at Time) {
 		// Two twin events with identical (At, seq): one per structure.
@@ -82,20 +86,37 @@ func storm(t *testing.T, seed uint64, ops int, farFrac float64) {
 			if rng.Float64() < 0.5 { // immediate burst sibling, same second
 				push(now + Time(rng.Intn(2)))
 			}
-		case r < 0.75:
+		case r < 0.72:
 			pop()
-		case r < 0.9 && len(livePtrs) > 0:
+		case r < 0.84 && len(livePtrs) > 0:
 			// Cancel a random still-queued pair; both structures keep the
 			// dead events and pop them in the same slot.
 			k := rng.Intn(len(livePtrs)/2) * 2
 			livePtrs[k].dead = true
 			livePtrs[k+1].dead = true
-		case len(livePtrs) > 0:
+		case r < 0.92 && len(livePtrs) > 0:
 			// Reschedule: cancel then re-insert at a fresh timestamp.
 			k := rng.Intn(len(livePtrs)/2) * 2
 			livePtrs[k].dead = true
 			livePtrs[k+1].dead = true
 			push(randAt())
+		case len(livePtrs) > 0:
+			// Move in place: a live, still-queued pair takes a new time and
+			// the next sequence number.
+			k := rng.Intn(len(livePtrs)/2) * 2
+			a, b := livePtrs[k], livePtrs[k+1]
+			i := slices.Index(ref, b)
+			if a.dead || i < 0 {
+				break // cancelled or already popped: nothing to move
+			}
+			at := randAt()
+			q.remove(a)
+			a.At, a.seq = at, seq
+			q.push(a)
+			b.At, b.seq = at, seq
+			heap.Fix(&ref, i)
+			seq++
+			moved++
 		}
 		// Trim the pick list occasionally so it tracks mostly-live events.
 		if len(livePtrs) > 4096 {
@@ -107,6 +128,9 @@ func storm(t *testing.T, seed uint64, ops int, farFrac float64) {
 	}
 	if ref.Len() != 0 {
 		t.Fatalf("heap has %d leftover events after calendar drained", ref.Len())
+	}
+	if moved < ops/100 {
+		t.Fatalf("only %d in-place moves in %d ops", moved, ops)
 	}
 }
 

@@ -96,8 +96,9 @@ type Engine struct {
 	live int
 	// pending counts queued events that have not fired and have not been
 	// cancelled — daemons included. Cancelled events stay in the queue until
-	// their timestamp comes up, so this is maintained as a counter rather
-	// than read off the queue length.
+	// their timestamp comes up (a rescheduled one moves in place instead),
+	// so this is maintained as a counter rather than read off the queue
+	// length.
 	pending int
 	// free is the recycle list for fired/discarded Event structs; see Event.
 	free []*Event
@@ -157,6 +158,25 @@ func (e *Engine) at(at Time, name string, fn func(now Time), daemon bool) (Handl
 	e.pending++
 	e.queue.push(ev)
 	return Handle{e: ev, gen: ev.gen}, nil
+}
+
+// Reschedule moves a pending event to time at, keeping its handle, name,
+// callback and daemon status, and reports whether it did. The event takes
+// the next sequence number, so it fires exactly where Cancel followed by
+// At would have placed a new event, but nothing dead is left queued and no
+// closure is built. It returns false, changing nothing, when h is not
+// pending or at is before Now; the caller then schedules afresh.
+func (e *Engine) Reschedule(h Handle, at Time) bool {
+	if !h.Pending() || h.e.eng != e || at < e.now {
+		return false
+	}
+	ev := h.e
+	e.queue.remove(ev)
+	ev.At = at
+	ev.seq = e.seq
+	e.seq++
+	e.queue.push(ev)
+	return true
 }
 
 // recycle returns a popped event to the freelist. Bumping the generation

@@ -421,10 +421,11 @@ func TestSampleAllocatesNothingOnceGrown(t *testing.T) {
 // two and three blocks, including partial last blocks, and requires
 // every read to match a single preallocated reference ring after every
 // push: samples at each position, oldest and newest, windows, and the
-// ring allocating only the blocks it holds, the last one no larger than
-// the cap needs.
+// ring allocating only the blocks it holds, each of its full length (16,
+// 16, 32, 64, 128, then 256 samples) but the last one no larger than the
+// cap needs.
 func TestRingMatchesReference(t *testing.T) {
-	for _, c := range []int{1, 2, blockSize - 1, blockSize, blockSize + 1, 2*blockSize - 3, 2 * blockSize, 2*blockSize + 5, 3*blockSize + 100} {
+	for _, c := range []int{1, 2, firstBlock - 1, firstBlock, firstBlock + 1, 3 * firstBlock, 100, blockSize - 1, blockSize, blockSize + 1, 2*blockSize - 3, 2 * blockSize, 2*blockSize + 5, 3*blockSize + 100} {
 		r, ref := ring{max: c}, newRefRing(c)
 		for p := 1; p <= 3*c+blockSize/2; p++ {
 			s := Sample{T: simulator.Time(2 * p), V: float64(p)}
@@ -433,11 +434,12 @@ func TestRingMatchesReference(t *testing.T) {
 			if r.n != ref.n {
 				t.Fatalf("cap %d push %d: n = %d, want %d", c, p, r.n, ref.n)
 			}
-			size := 0
-			for _, b := range r.blocks {
-				size += len(b)
+			size, full := 0, 0
+			for b := range r.blocks {
+				size += len(r.blocks[b])
+				full += blockLen(b)
 			}
-			if len(r.blocks) != (r.n+blockSize-1)/blockSize || size != min(len(r.blocks)*blockSize, c) {
+			if last, _ := locate(r.n - 1); len(r.blocks) != last+1 || size != min(full, c) {
 				t.Fatalf("cap %d push %d: %d blocks of %d samples in all for %d samples", c, p, len(r.blocks), size, r.n)
 			}
 			if o, _ := r.oldest(); o != ref.at(0) {
@@ -448,7 +450,8 @@ func TestRingMatchesReference(t *testing.T) {
 			}
 			// Full comparisons where the layout changes: near block
 			// boundaries and at the ring's own boundaries.
-			if q := (p - 1) % c; q%blockSize > 2 && q%blockSize < blockSize-2 && q < c-2 && p < 3*c {
+			q := (p - 1) % c
+			if b, off := locate(q); off > 2 && off < blockLen(b)-2 && q < c-2 && p < 3*c {
 				continue
 			}
 			if got := r.appendRange(nil, 0, r.n); !sameSamples(got, ref.all()) {
